@@ -17,8 +17,8 @@ that opens with ``register`` instead of ``submit``.
   jobs on its own :class:`~repro.service.runner.BatchRunner`, and
   reconnects with backoff after partitions.  Hosts the ``node:kill``,
   ``cluster:heartbeat``, and ``cluster:partition`` fault sites.
-- :mod:`repro.cluster.remotestore` — read-through store adapters that
-  make a worker's query/automata caches fall back to the
+- :mod:`repro.cluster.remotestore` — the read-through store that
+  makes a worker's query/automata caches fall back to the
   coordinator's disk stores (canonical fingerprints are already
   host-independent keys).
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import base64
 import itertools
-import pickle
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
 
@@ -127,8 +126,7 @@ class ClusterCoordinator:
         self.cache_put_failures = 0
         # Store handles are opened lazily: the daemon's own runner may
         # share the same directories and the handles are cheap.
-        self._query_store = None
-        self._dfa_store = None
+        self._stores: Dict[str, object] = {}
 
     # -- stores ----------------------------------------------------------------
 
@@ -138,25 +136,24 @@ class ClusterCoordinator:
             "dfa": bool(self.config.automata_cache),
         }
 
-    def _get_query_store(self):
-        if self._query_store is None and self.config.query_cache:
-            from repro.solver.backends.cached import QueryDiskStore
+    def _store(self, name: str):
+        """The coordinator's ``query``/``dfa`` store, or ``None``."""
+        from repro.automata.cache import DfaDiskStore
+        from repro.solver.backends.cached import QueryDiskStore
+        from repro.store import attach_store
 
-            try:
-                self._query_store = QueryDiskStore(self.config.query_cache)
-            except OSError:
-                self.config.query_cache = None
-        return self._query_store
-
-    def _get_dfa_store(self):
-        if self._dfa_store is None and self.config.automata_cache:
-            from repro.automata.cache import DfaDiskStore
-
-            try:
-                self._dfa_store = DfaDiskStore(self.config.automata_cache)
-            except OSError:
-                self.config.automata_cache = None
-        return self._dfa_store
+        field, open_store = {
+            "query": ("query_cache", QueryDiskStore),
+            "dfa": ("automata_cache", DfaDiskStore),
+        }[name]
+        store = attach_store(
+            self._stores.get(name), getattr(self.config, field), open_store
+        )
+        if store is None:
+            # Unusable directory: stop offering the store.
+            setattr(self.config, field, None)
+        self._stores[name] = store
+        return store
 
     # -- registration and liveness ---------------------------------------------
 
@@ -389,23 +386,12 @@ class ClusterCoordinator:
 
     def handle_cache_get(self, connection, frame: dict) -> None:
         self.cache_gets += 1
-        request_id = frame.get("id")
         key = frame["key"]
-        blob = None
-        if frame["store"] == "query":
-            store = self._get_query_store()
-            entry = store.get(key) if store is not None else None
-            if entry is not None:
-                blob = pickle.dumps(
-                    (entry.status, entry.assignment), protocol=4
-                )
-        else:
-            store = self._get_dfa_store()
-            dfa = store.get(key) if store is not None else None
-            if dfa is not None:
-                from repro.automata.cache import dfa_to_blob
-
-                blob = pickle.dumps(dfa_to_blob(dfa), protocol=4)
+        store = self._store(frame["store"])
+        value = store.get(key) if store is not None else None
+        blob = (
+            None if value is None else store.codec.on_wire().encode(key, value)
+        )
         if blob is not None:
             self.cache_hits += 1
         _metrics.count(
@@ -415,7 +401,7 @@ class ClusterCoordinator:
         )
         connection.send(
             protocol.cache_value_frame(
-                request_id,
+                frame.get("id"),
                 blob is not None,
                 None
                 if blob is None
@@ -426,30 +412,13 @@ class ClusterCoordinator:
     def handle_cache_put(self, connection, frame: dict) -> None:
         self.cache_puts += 1
         try:
-            blob = pickle.loads(base64.b64decode(frame.get("blob") or ""))
-            if frame["store"] == "query":
-                from repro.solver.backends.cached import CachedResult
-
-                store = self._get_query_store()
-                if store is not None:
-                    status, assignment = blob
-                    store.put(
-                        frame["key"],
-                        CachedResult(
-                            str(status),
-                            None
-                            if assignment is None
-                            else tuple(
-                                (str(n), v) for n, v in assignment
-                            ),
-                        ),
-                    )
-            else:
-                from repro.automata.cache import dfa_from_blob
-
-                store = self._get_dfa_store()
-                if store is not None:
-                    store.put(frame["key"], dfa_from_blob(blob))
+            store = self._store(frame["store"])
+            if store is not None:
+                # The blob came off the network: decode it before it
+                # is written, so the store only ever holds valid entries.
+                blob = base64.b64decode(frame.get("blob") or "")
+                value = store.codec.on_wire().decode(frame["key"], blob)
+                store.put(frame["key"], value)
             _metrics.count("cluster_cache_total", op="put", outcome="ok")
         except Exception:
             # The store is a cache: a malformed put is dropped, counted,

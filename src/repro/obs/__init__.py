@@ -45,6 +45,7 @@ from repro.obs.tracer import (
     set_tracer,
     span,
 )
+from repro.store import store_counters as _store_counters
 
 __all__ = [
     "NOOP_SPAN",
@@ -135,21 +136,14 @@ def checkpoint() -> None:
 
 
 def store_counters() -> dict:
-    """Aggregate disk-store health for this process: load/store/failure
-    and corruption-eviction totals across every live query and automata
-    store handle.  ``corrupt_evictions`` climbing is the operator's
-    early-warning for a bad disk (or an active chaos plan) — entries
-    being garbled and silently re-solved instead of served.
+    """Aggregate disk-store health for this process: one section per
+    store kind (``query``, ``dfa``, ``artifact``), each totalling the
+    same counters over every live handle of that kind.
+    ``corrupt_evictions`` climbing is the operator's early-warning for
+    a bad disk (or an active chaos plan) — entries being garbled and
+    silently recomputed instead of served.
     """
-    # Lazy imports: ``cached.py`` imports ``repro.obs`` at module
-    # level, so the reverse edge must stay inside the function body.
-    from repro.automata.cache import dfa_store_counters
-    from repro.solver.backends.cached import query_store_counters
-
-    return {
-        "query": query_store_counters(),
-        "dfa": dfa_store_counters(),
-    }
+    return _store_counters(("query", "dfa", "artifact"))
 
 
 def snapshot() -> dict:

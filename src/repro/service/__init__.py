@@ -6,13 +6,6 @@ The orchestration layer the paper's evaluation implies (1,131 packages,
 canonical formula fingerprints, and corpus-level report aggregation.
 """
 
-from repro.service.cache import (
-    CachedResult,
-    CachedSolver,
-    QueryCache,
-    QueryDiskStore,
-    SharedQueryCache,
-)
 from repro.service.jobs import (
     AnalyzeJob,
     FuzzJob,
@@ -43,6 +36,13 @@ from repro.service.report import (
     merge_survey,
 )
 from repro.service.runner import BatchRunner, RunnerConfig
+from repro.solver.backends.cached import (
+    CachedResult,
+    CachedSolver,
+    QueryCache,
+    QueryDiskStore,
+    SharedQueryCache,
+)
 
 __all__ = [
     "AnalyzeJob",

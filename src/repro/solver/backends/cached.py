@@ -24,66 +24,31 @@ Soundness rules:
   backend configuration) could turn a solvable query into a permanent
   unknown.
 
-(Historically this lived in ``repro.service.cache``, which now
-re-exports from here; the *decorator* :class:`CachedBackend` is what
-the ``cached:<inner>`` spec resolves to.)
+The *decorator* :class:`CachedBackend` is what the ``cached:<inner>``
+spec resolves to.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import pickle
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Optional, Tuple
 
-from repro import faults, obs
+from repro import obs
 from repro.constraints.formulas import Formula
 from repro.constraints.printer import canonical_fingerprint
 from repro.constraints.terms import StrVar, Value
 from repro.solver.core import Solver, SolverResult, UNKNOWN
 from repro.solver.model import Model
 from repro.solver.stats import SolverStats
+from repro.store import BlobStore, Codec, attach_store
 
 #: Bump when the on-disk entry layout changes; old entries are ignored.
 QUERY_STORE_VERSION = 1
 _MAGIC = "repro-query"
-
-#: Every live store handle in this process, for the aggregate
-#: corruption/failure counters surfaced by ``obs.snapshot()`` and the
-#: daemon's ``health`` op (weak: a dropped cache must not be pinned by
-#: its diagnostics).
-_OPEN_STORES: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def query_store_counters() -> Dict[str, int]:
-    """Aggregate counters over every live query store in this process.
-
-    ``corrupt_evictions`` is the operator's signal that entries are
-    being scribbled on (bad disk, version skew, a chaos plan): each one
-    was a cache entry evicted by the defensive read path instead of
-    served.
-    """
-    totals = {
-        "open_stores": 0,
-        "loads": 0,
-        "stores": 0,
-        "failures": 0,
-        "evictions": 0,
-        "corrupt_evictions": 0,
-    }
-    for store in list(_OPEN_STORES):
-        totals["open_stores"] += 1
-        totals["loads"] += store.loads
-        totals["stores"] += store.stores
-        totals["failures"] += store.failures
-        totals["evictions"] += store.evictions
-        totals["corrupt_evictions"] += store.corrupt_evictions
-    return totals
 
 
 @dataclass(frozen=True)
@@ -95,207 +60,78 @@ class CachedResult:
     assignment: Optional[Tuple[Tuple[str, Value], ...]] = None
 
 
-class QueryDiskStore:
-    """Fingerprint-keyed directory of definitive solver answers.
+def _cached_result(status, assignment) -> CachedResult:
+    return CachedResult(
+        str(status),
+        None
+        if assignment is None
+        else tuple((str(n), v) for n, v in assignment),
+    )
 
-    The query-cache sibling of
-    :class:`repro.automata.cache.DfaDiskStore`: layout is
-    ``<path>/v<QUERY_STORE_VERSION>/<sha256(fingerprint)>.qry`` (the
-    canonical fingerprint is arbitrary-length text, so entries are named
-    by its hash and carry the full fingerprint inside the blob, verified
-    on load against hash collisions and foreign files).  Entries are
-    written atomically (temp file + ``os.replace``) and read
-    defensively: truncated, corrupted, or version-mismatched entries are
-    evicted as misses, never errors — the store is a cache, a bad
-    directory degrades to solving.
 
-    ``max_entries`` caps the store with *age-based* GC: whenever the
-    (approximately tracked) entry count passes the cap, the oldest
-    mtimes are unlinked down to a low-water mark just under the cap
-    (hysteresis: the next scan is a slack's worth of puts away, not
-    one).  Age, not LRU — the store is shared by concurrent workers,
-    and touching entry mtimes on every hit would turn reads into
-    writes; old answers being re-proved once is the cheap failure
-    mode.  Evictions land in the store's counters (``evictions``,
-    surfaced as ``disk_evictions``).
+def _encode_entry(fingerprint: str, entry: CachedResult) -> bytes:
+    return pickle.dumps(
+        (
+            _MAGIC,
+            QUERY_STORE_VERSION,
+            fingerprint,
+            entry.status,
+            entry.assignment,
+        ),
+        protocol=4,
+    )
+
+
+def _decode_entry(fingerprint: str, blob: bytes) -> CachedResult:
+    magic, version, stored_fp, status, assignment = pickle.loads(blob)
+    if (
+        magic != _MAGIC
+        or version != QUERY_STORE_VERSION
+        or stored_fp != fingerprint
+    ):
+        raise ValueError("mismatched query-store entry")
+    return _cached_result(status, assignment)
+
+
+def _encode_wire(fingerprint: str, entry: CachedResult) -> bytes:
+    return pickle.dumps((entry.status, entry.assignment), protocol=4)
+
+
+def _decode_wire(fingerprint: str, blob: bytes) -> CachedResult:
+    status, assignment = pickle.loads(blob)
+    return _cached_result(status, assignment)
+
+
+#: A query-store entry on disk is the pickled ``(magic, version,
+#: fingerprint, status, assignment)``: the full fingerprint rides
+#: inside, so a hash collision or a renamed file reads as a miss.  On
+#: the wire to a cluster coordinator only ``(status, assignment)``
+#: travels.
+QUERY_CODEC = Codec(
+    "query",
+    QUERY_STORE_VERSION,
+    ".qry",
+    _encode_entry,
+    _decode_entry,
+    wire=Codec(
+        "query", QUERY_STORE_VERSION, ".qry", _encode_wire, _decode_wire
+    ),
+)
+
+
+class QueryDiskStore(BlobStore):
+    """Fingerprint-keyed directory of definitive solver answers: a
+    :class:`~repro.store.BlobStore` of :data:`QUERY_CODEC` entries.
+
+    ``max_entries`` caps it with the store's age-based GC; evictions
+    surface in the caches' counters as ``disk_evictions``.
     """
 
     def __init__(self, path: str, max_entries: Optional[int] = None):
-        self.root = path
-        self.path = os.path.join(path, f"v{QUERY_STORE_VERSION}")
-        os.makedirs(self.path, exist_ok=True)
-        self.max_entries = max_entries
-        self.loads = 0
-        self.stores = 0
-        self.failures = 0
-        self.evictions = 0
-        #: Entries evicted by the defensive read path specifically —
-        #: truncated/garbled/version-skewed blobs, as opposed to GC.
-        self.corrupt_evictions = 0
-        _OPEN_STORES.add(self)
-        #: Entry-count estimate driving GC triggers: seeded by a scan
-        #: (only when a cap makes the count matter — uncapped stores
-        #: must not pay an O(entries) scan per construction), bumped
-        #: per put.  Concurrent writers make it approximate; the GC
-        #: pass itself recounts exactly.
-        self._approx_count = 0 if max_entries is None else len(self)
-
-    def _entry(self, fingerprint: str) -> str:
-        digest = hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()
-        return os.path.join(self.path, f"{digest}.qry")
-
-    def get(self, fingerprint: str) -> Optional[CachedResult]:
-        entry = self._entry(fingerprint)
-        # Chaos hook: an installed fault plan may scribble over the
-        # entry here, exercising the defensive read path below.
-        faults.corrupt_file("query_store:get", entry, fingerprint=fingerprint)
-        try:
-            with open(entry, "rb") as handle:
-                blob = pickle.load(handle)
-            magic, version, stored_fp, status, assignment = blob
-            if (
-                magic != _MAGIC
-                or version != QUERY_STORE_VERSION
-                or stored_fp != fingerprint
-            ):
-                raise ValueError("mismatched query-store entry")
-            result = CachedResult(
-                str(status),
-                None
-                if assignment is None
-                else tuple((str(n), v) for n, v in assignment),
-            )
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Truncated write, foreign file, stale format, hash
-            # collision: drop and re-solve.
-            self.failures += 1
-            self.corrupt_evictions += 1
-            try:
-                os.unlink(entry)
-            except OSError:
-                pass
-            return None
-        self.loads += 1
-        return result
-
-    def put(self, fingerprint: str, entry: CachedResult) -> None:
-        path = self._entry(fingerprint)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as handle:
-                pickle.dump(
-                    (
-                        _MAGIC,
-                        QUERY_STORE_VERSION,
-                        fingerprint,
-                        entry.status,
-                        entry.assignment,
-                    ),
-                    handle,
-                    protocol=4,
-                )
-            os.replace(tmp, path)  # atomic: readers never see partials
-            self.stores += 1
-            self._approx_count += 1
-            if (
-                self.max_entries is not None
-                and self._approx_count > self.max_entries
-            ):
-                self.gc()
-        except OSError:
-            self.failures += 1
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def gc(self) -> int:
-        """Evict oldest-mtime entries past ``max_entries``; return count.
-
-        Evicts down to a low-water mark *below* the cap (an eighth of
-        slack), so a put-heavy store pays the directory scan once per
-        slack's worth of writes instead of on every put at the cap.
-        Defensive like every other store path: a concurrently deleted
-        entry or an unreadable directory just ends the pass — the store
-        degrades to being larger than asked, never to failure.
-        """
-        if self.max_entries is None:
-            return 0
-        try:
-            aged = sorted(
-                (
-                    (entry.stat().st_mtime, entry.path)
-                    for entry in os.scandir(self.path)
-                    if entry.name.endswith(".qry")
-                ),
-            )
-        except OSError:
-            return 0
-        self._approx_count = len(aged)
-        if len(aged) <= self.max_entries:
-            return 0
-        # Keep at least one entry: a cap of 1 must still serve hits.
-        low_water = max(
-            1, self.max_entries - max(1, self.max_entries // 8)
-        )
-        evicted = 0
-        for _, path in aged[: len(aged) - low_water]:
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            evicted += 1
-        self.evictions += evicted
-        self._approx_count -= evicted
-        return evicted
-
-    def __len__(self) -> int:
-        try:
-            return sum(
-                1 for name in os.listdir(self.path) if name.endswith(".qry")
-            )
-        except OSError:
-            return 0
+        super().__init__(path, QUERY_CODEC, max_entries)
 
 
-def _attached_store(
-    current: Optional[QueryDiskStore],
-    path: Optional[str],
-    max_entries: Optional[int] = None,
-) -> Optional[QueryDiskStore]:
-    """The store handle for ``attach_store(path)`` on either cache tier.
-
-    Re-attaching the same path keeps the existing handle (its counters
-    survive across jobs in one process; an explicit ``max_entries``
-    still takes effect on it); an unusable path degrades to memory-only
-    caching, never to failure.  A non-string ``path`` is taken to *be*
-    a store-shaped object (duck: ``get``/``put``/counters) and used
-    directly — how cluster worker nodes wire a
-    :class:`~repro.cluster.remotestore.RemoteQueryStore` read-through
-    to the coordinator in place of a local directory.
-    """
-    if path is None:
-        return None
-    if not isinstance(path, str):
-        return path
-    if current is not None and current.root == path:
-        if max_entries is not None and current.max_entries != max_entries:
-            # A newly applied (or changed) cap needs a real count: the
-            # handle may have skipped the seeding scan while uncapped.
-            current.max_entries = max_entries
-            current._approx_count = len(current)
-        return current
-    try:
-        return QueryDiskStore(path, max_entries=max_entries)
-    except OSError:
-        return None
-
-
-def _disk_counters(
-    store: Optional[QueryDiskStore], disk_hits: int
-) -> Dict[str, int]:
+def _disk_counters(store, disk_hits: int) -> Dict[str, int]:
     """The shared disk-tier block of both caches' ``counters()``."""
     return {
         "disk_hits": disk_hits,
@@ -350,7 +186,9 @@ class QueryCache:
 
         ``max_entries`` caps the store with age-based GC (see
         :class:`QueryDiskStore`)."""
-        self.store = _attached_store(self.store, path, max_entries)
+        self.store = attach_store(
+            self.store, path, QueryDiskStore, max_entries
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -448,7 +286,9 @@ class SharedQueryCache:
         self, path: Optional[str], max_entries: Optional[int] = None
     ) -> None:
         """Attach (or with ``None`` detach) a per-process disk store."""
-        self.store = _attached_store(self.store, path, max_entries)
+        self.store = attach_store(
+            self.store, path, QueryDiskStore, max_entries
+        )
 
     def __len__(self) -> int:
         return len(self._store)

@@ -321,6 +321,57 @@ class TestRemoteCache:
         wait_until(lambda: cluster_stats(server)["cache_puts"] >= 1)
 
 
+class TestCacheKeyConfinement:
+    """Store keys arrive from the network: a worker's ``cache_get`` /
+    ``cache_put`` key must never name a file outside the store."""
+
+    def _files(self, root):
+        out = {}
+        for dirpath, dirnames, filenames in os.walk(root):
+            dirnames[:] = [d for d in dirnames if d not in ("ac", "qc")]
+            for name in filenames:
+                path = os.path.join(dirpath, name)
+                with open(path, "rb") as handle:
+                    out[path] = handle.read()
+        return out
+
+    def test_traversal_keys_stay_inside_the_store(self, tmp_path):
+        from repro.automata import dfa_for_pattern
+        from repro.automata.cache import dfa_to_blob
+
+        fleet = tmp_path / "fleet"
+        fleet.mkdir()
+        for name in ("outside.dfa", "outside.qry", "abs.dfa"):
+            (fleet / name).write_bytes(b"not a store entry")
+        server, sock = start_daemon(
+            tmp_path,
+            cluster=True,
+            query_cache=str(fleet / "qc"),
+            automata_cache=str(fleet / "ac"),
+        )
+        node = start_worker(
+            sock, capacity=1, worker_id="node-k", remote_cache=True
+        ).node
+        before = self._files(fleet)
+        keys = ["../../outside", "../outside", str(fleet / "abs")]
+        blobs = {
+            "dfa": pickle.dumps(dfa_to_blob(dfa_for_pattern("a")), protocol=4),
+            "query": pickle.dumps(("unsat", None), protocol=4),
+        }
+        for store, blob in blobs.items():
+            for key in keys:
+                # The victims are garbage: a read that reached one
+                # would evict (unlink) it as corrupt.
+                assert node.cache_get(store, key) is None
+                node.cache_put(store, key + "-planted", blob)
+        wait_until(lambda: cluster_stats(server)["cache_puts"] == 6)
+        assert cluster_stats(server)["cache_put_failures"] == 0
+        assert self._files(fleet) == before
+        # The puts landed inside the stores and read back.
+        assert node.cache_get("dfa", "../../outside-planted") is not None
+        assert node.cache_get("query", "../outside-planted") is not None
+
+
 class TestNodeKillChaos:
     """The ISSUE's chaos scenario with real worker *processes*."""
 

@@ -8,6 +8,7 @@ touch-on-hit — not merely oldest-inserted.
 
 import os
 import pickle
+import sys
 import threading
 
 import pytest
@@ -97,6 +98,46 @@ class TestQueryDiskStore:
         store = QueryDiskStore(str(tmp_path / "q"))
         assert store.path.endswith(f"v{QUERY_STORE_VERSION}")
 
+
+    def test_threads_sharing_one_handle_never_tear_an_entry(self, tmp_path):
+        """The inline runner's threads share one store handle and put
+        outside the cache mutex: every writer needs its own temp file,
+        or writers clobber each other and readers see torn entries."""
+        store = QueryDiskStore(str(tmp_path / "q"))
+        entry = CachedResult(SAT, (("?0", "ab" * 64),))
+        store.put("fp", entry)
+        writing = threading.Event()
+        writing.set()
+        torn = []
+
+        def write():
+            for _ in range(300):
+                store.put("fp", entry)
+
+        def read():
+            while writing.is_set():
+                if store.get("fp") != entry:
+                    torn.append(1)
+
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        writers = [threading.Thread(target=write) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave threads mid-write
+        try:
+            for thread in readers + writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=30)
+        finally:
+            writing.clear()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + writers)
+        assert store.stores == 1 + 4 * 300
+        assert store.failures == 0 and store.corrupt_evictions == 0
+        assert not torn
+        assert os.listdir(store.path) == [os.path.basename(store._entry("fp"))]
 
 class TestQueryCacheWithStore:
     def test_put_writes_through_and_fresh_cache_reads_back(self, tmp_path):

@@ -290,21 +290,36 @@ class TestCorruptionCounters:
     def test_query_store_corruption_counts_in_obs_snapshot(
         self, tmp_path
     ):
+        from repro.automata import DfaDiskStore, dfa_for_pattern
+        from repro.conformance import ArtifactStore, DisagreementArtifact
         from repro.solver.backends.cached import (
             CachedResult,
             QueryDiskStore,
         )
 
-        store = QueryDiskStore(str(tmp_path / "q"))
-        store.put("fp", CachedResult("unsat"))
-        with open(store._entry("fp"), "wb") as handle:
-            handle.write(b"\x80garbage")
-        assert store.get("fp") is None  # evicted as a miss
-        assert store.corrupt_evictions == 1
+        kinds = {
+            "query": (QueryDiskStore, CachedResult("unsat")),
+            "dfa": (DfaDiskStore, dfa_for_pattern("ab*")),
+            "artifact": (
+                ArtifactStore,
+                DisagreementArtifact("fp", pattern="", flags="", word="q"),
+            ),
+        }
+        stores = []  # keep the handles alive for the snapshot
+        for kind, (open_store, value) in kinds.items():
+            store = open_store(str(tmp_path / kind))
+            stores.append(store)
+            store.put("fp", value)
+            with open(store._entry("fp"), "wb") as handle:
+                handle.write(b"\x80garbage")
+            assert store.get("fp") is None  # evicted as a miss
+            assert store.corrupt_evictions == 1
         snap = obs.snapshot()["stores"]
-        assert snap["query"]["corrupt_evictions"] >= 1
-        assert snap["query"]["open_stores"] >= 1
-        assert "corrupt_evictions" in snap["dfa"]
+        for kind in kinds:
+            assert snap[kind]["corrupt_evictions"] >= 1
+            assert snap[kind]["open_stores"] >= 1
+            # Every kind reports the same counters.
+            assert set(snap[kind]) == set(snap["query"])
 
     def test_health_op_surfaces_store_counters(self, tmp_path):
         server, sock = start_daemon(tmp_path)
