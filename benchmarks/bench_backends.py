@@ -55,7 +55,7 @@ def _run_spec(spec, literals):
         found.append(result is not None)
     wall = time.perf_counter() - started
     queries = sum(t.queries for t in stats.backend_tallies.values())
-    definitive = sum(t.definitive for t in stats.backend_tallies.values())
+    definitive = sum(t.sat + t.unsat for t in stats.backend_tallies.values())
     return {
         "found": found,
         "wall": wall,

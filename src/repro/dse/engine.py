@@ -178,11 +178,14 @@ class DseEngine:
             # A caching solver whose ``stats`` sink is already our stats
             # object records its hits/misses itself (``record_cache``);
             # the snapshot diff covers every other caching solver.
-            self.result.stats.cache_hits += (
-                getattr(self._base_solver, "hits", 0) - hits0
-            )
-            self.result.stats.cache_misses += (
-                getattr(self._base_solver, "misses", 0) - misses0
+            self.result.stats.fold(
+                "cache",
+                {
+                    "hits": getattr(self._base_solver, "hits", 0) - hits0,
+                    "misses": (
+                        getattr(self._base_solver, "misses", 0) - misses0
+                    ),
+                },
             )
         self.result.stats.record_automata(
             counters_delta(automata0, automata_cache_counters())

@@ -17,17 +17,19 @@ Split API, matching how the backends consume it:
   classical queries to native while the breaker is open without
   eating the probe slot.
 
-State transitions (``open`` / ``close`` / ``reopen``) are pushed to
-``repro.obs`` events and metrics, and to ``SolverStats`` breaker
-tallies when a recorder is attached, so trips are visible in
-``obs.snapshot()``, the batch report, and the serve ``health`` op.
+State transitions (``open`` / ``close`` / ``reopen`` / ``probe``) are
+pushed to ``repro.obs`` events and metrics.  Each consuming method also
+takes an ``on_event(command, event)`` callback, and reports any
+transition (or ``short_circuit``) it drove to its caller's callback
+alone: the breaker is process-global, but the caller whose query drove
+a transition owns it in its ``SolverStats`` breaker tallies.
 """
 
 from __future__ import annotations
 
 import threading
 from time import monotonic
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro import obs
 from repro.obs import metrics as _metrics
@@ -35,6 +37,9 @@ from repro.obs import metrics as _metrics
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
+
+#: ``on_event(command, event)``: where a caller's driven events go.
+OnEvent = Optional[Callable[[str, str], None]]
 
 
 class CircuitBreaker:
@@ -56,13 +61,10 @@ class CircuitBreaker:
         self._probe_at = 0.0
         self.trips = 0
         self.short_circuits = 0
-        #: optional ``fn(name, transition)`` — bound to
-        #: ``SolverStats.record_breaker`` by the session backends.
-        self.recorder: Optional[Callable[[str, str], None]] = None
 
     # -- transitions ---------------------------------------------------------
 
-    def _transition(self, state: str, event: str) -> None:
+    def _transition(self, state: str, event: str) -> str:
         self._state = state
         obs.event(
             "breaker:transition", command=self.name, to=state, event=event
@@ -70,71 +72,73 @@ class CircuitBreaker:
         _metrics.count(
             "breaker_transitions_total", command=self.name, event=event
         )
-        recorder = self.recorder
-        if recorder is not None:
-            try:
-                recorder(self.name, event)
-            except Exception:
-                pass
+        return event
 
-    def record_failure(self) -> None:
+    def _report(self, event: Optional[str], on_event: OnEvent) -> None:
+        """Hand a driven event to its caller (outside the lock)."""
+        if event is not None and on_event is not None:
+            on_event(self.name, event)
+
+    def record_failure(self, on_event: OnEvent = None) -> None:
+        event = None
         with self._lock:
             self._failures += 1
             if self._state == HALF_OPEN:
                 self._probing = False
                 self._opened_at = self._clock()
                 self.trips += 1
-                self._transition(OPEN, "reopen")
+                event = self._transition(OPEN, "reopen")
             elif (
                 self._state == CLOSED
                 and self._failures >= self.fail_threshold
             ):
                 self._opened_at = self._clock()
                 self.trips += 1
-                self._transition(OPEN, "open")
+                event = self._transition(OPEN, "open")
+        self._report(event, on_event)
 
-    def record_success(self) -> None:
+    def record_success(self, on_event: OnEvent = None) -> None:
+        event = None
         with self._lock:
             self._failures = 0
             if self._state in (OPEN, HALF_OPEN):
                 self._probing = False
-                self._transition(CLOSED, "close")
+                event = self._transition(CLOSED, "close")
+        self._report(event, on_event)
 
     # -- gating --------------------------------------------------------------
 
-    def allow(self) -> bool:
+    def allow(self, on_event: OnEvent = None) -> bool:
         """May a query run against the binary right now? (consuming)"""
         with self._lock:
-            now = self._clock()
-            if self._state == CLOSED:
-                return True
-            if self._state == OPEN:
-                if now - self._opened_at >= self.cooldown_s:
-                    self._probing = True
-                    self._probe_at = now
-                    self._transition(HALF_OPEN, "probe")
-                    return True
+            admitted, event = self._admit(self._clock())
+            if not admitted:
                 self.short_circuits += 1
                 _metrics.count(
                     "breaker_short_circuits_total", command=self.name
                 )
-                return False
-            # Half-open: one probe outstanding at a time — but a probe
-            # whose caller never reported back (e.g. an unprintable
-            # formula that touched no process) goes stale after a
-            # cooldown and frees the slot, so the breaker can't wedge.
-            if (
-                not self._probing
-                or now - self._probe_at >= self.cooldown_s
-            ):
-                self._probing = True
-                self._probe_at = now
-                return True
-            self.short_circuits += 1
-            _metrics.count(
-                "breaker_short_circuits_total", command=self.name
-            )
-            return False
+                event = "short_circuit"
+        self._report(event, on_event)
+        return admitted
+
+    def _admit(self, now: float) -> Tuple[bool, Optional[str]]:
+        if self._state == CLOSED:
+            return True, None
+        if self._state == OPEN:
+            if now - self._opened_at < self.cooldown_s:
+                return False, None
+            self._probing = True
+            self._probe_at = now
+            return True, self._transition(HALF_OPEN, "probe")
+        # Half-open: one probe outstanding at a time — but a probe whose
+        # caller never reported back (e.g. an unprintable formula that
+        # touched no process) goes stale after a cooldown and frees the
+        # slot, so the breaker can't wedge.
+        if self._probing and now - self._probe_at < self.cooldown_s:
+            return False, None
+        self._probing = True
+        self._probe_at = now
+        return True, None
 
     def peek_open(self) -> bool:
         """Is the binary currently distrusted? (non-consuming).

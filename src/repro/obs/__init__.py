@@ -9,8 +9,8 @@ The package the rest of the stack imports as ``from repro import obs``:
   — markers, after-the-fact spans, and attribute attachment;
 - ``obs.metrics`` — the labeled counter/gauge/histogram registry the
   existing :class:`~repro.solver.stats.SolverStats` tallies feed;
-- ``obs.snapshot()`` — the JSON-shaped combined state (the ``/stats``
-  surface of the future serve daemon);
+- ``obs.snapshot()`` — the JSON-shaped combined state (what the serve
+  daemon's ``stats`` op returns);
 - :class:`~repro.obs.export.ObsRun` — per-invocation orchestration
   (spool directory, worker shipping, artifact writing), wired to the
   ``--trace`` / ``--trace-format`` / ``--metrics-json`` /

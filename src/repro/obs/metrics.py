@@ -1,15 +1,15 @@
 """Labeled metrics registry: counters, gauges, histograms.
 
 The tallies the solver stack already keeps (:class:`SolverStats`
-backend/session/route/cache counters, the automata interner's hit
-counters, the lazy spaces' exploration counts) *feed* this registry
-instead of growing yet another parallel mechanism: when a registry is
-enabled, ``stats.py`` and the automata layer mirror each recorded
-delta into labeled metrics; when disabled, the module-level helpers
-cost one global load and a comparison.
+tally families, the automata interner's hit counters, the lazy spaces'
+exploration counts) *feed* this registry instead of growing yet
+another parallel mechanism: when a registry is enabled, the one record
+path of ``stats.py`` and the automata layer mirror each recorded delta
+into labeled metrics; when disabled, the module-level helpers cost one
+global load and a comparison.
 
-Snapshots are JSON-shaped (the ``/stats`` surface of a future serve
-daemon) and *mergeable*: worker processes ship their registry snapshot
+Snapshots are JSON-shaped (the serve daemon's ``stats`` op returns
+them) and *mergeable*: worker processes ship their registry snapshot
 through the trace spool at each job boundary, and the runner folds the
 per-pid maxima into one batch-level snapshot (:mod:`repro.obs.export`).
 

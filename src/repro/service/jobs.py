@@ -356,24 +356,7 @@ class AnalyzeJob(_JobBase):
         return {
             "name": self.path or self.job_id,
             "backend": self.backend or "native",
-            "backend_tallies": result.stats.backend_summary(),
-            "session_tallies": result.stats.session_summary(),
-            "route_tallies": result.stats.route_summary(),
-            **(
-                {"breaker_tallies": result.stats.breaker_summary()}
-                if result.stats.breaker_summary()
-                else {}
-            ),
-            **(
-                {
-                    "disagreement_tallies": (
-                        result.stats.disagreement_summary()
-                    )
-                }
-                if result.stats.disagreement_summary()
-                else {}
-            ),
-            "automata_cache": result.stats.automata_summary(),
+            **result.stats.tally_payload(),
             "covered": len(result.covered),
             "statement_count": result.statement_count,
             "coverage": result.coverage,
@@ -492,23 +475,10 @@ class SolveJob(_JobBase):
         payload["solver_queries"] = len(stats.queries)
         payload["solver_seconds"] = stats.total_time()
         payload["refinements"] = sum(q.refinements for q in stats.queries)
-        payload["backend_tallies"] = stats.backend_summary()
-        payload["session_tallies"] = stats.session_summary()
-        payload["route_tallies"] = stats.route_summary()
-        breaker_tallies = stats.breaker_summary()
-        if breaker_tallies:
-            # Only when a breaker actually transitioned: the common
-            # no-trip payload stays byte-identical to earlier releases.
-            payload["breaker_tallies"] = breaker_tallies
-        disagreement_tallies = stats.disagreement_summary()
-        if disagreement_tallies:
-            # A collect-mode portfolio caught members contradicting each
-            # other mid-solve; surface it for the batch Soundness table.
-            payload["disagreement_tallies"] = disagreement_tallies
         stats.record_automata(
             counters_delta(automata0, automata_cache_counters())
         )
-        payload["automata_cache"] = stats.automata_summary()
+        payload.update(stats.tally_payload())
         return payload
 
 
@@ -614,6 +584,22 @@ class FuzzJob(_JobBase):
     query_cache_max: Optional[int] = None
 
     KIND = "fuzz"
+    #: Payload work counters in payload order, with their zeros (a
+    #: map sums per key): ``run`` emits exactly these, ``merge_fuzz``
+    #: sums them across shards and a batch replay zeroes them.
+    WORK = {
+        "pairs": 0,
+        "coverage": {},
+        "checks": 0,
+        "skipped": 0,
+        "disagreements": 0,
+        "tolerated_overapprox": 0,
+        "verdicts": {},
+        "artifacts_new": 0,
+        "artifacts_dup": 0,
+        "artifacts_unstored": 0,
+        "shrink_steps": 0,
+    }
 
     def dedup_key(self) -> Optional[str]:
         """Fuzzing is deterministic in its spec: exact-field key."""
@@ -714,12 +700,7 @@ class FuzzJob(_JobBase):
                 artifacts[result.status] = artifacts.get(result.status, 0) + 1
                 fingerprints.add(result.artifact.fingerprint)
         counters = dict(oracle.counters)
-        payload: Dict[str, object] = {
-            "backend": self.backend or "native",
-            "oracle_backends": specs,
-            "budget": self.budget,
-            "seed": self.seed,
-            "offset": self.offset,
+        work = {
             "pairs": len(pairs),
             "coverage": coverage_summary(pairs),
             "checks": counters.pop("checks"),
@@ -730,10 +711,16 @@ class FuzzJob(_JobBase):
             "artifacts_new": artifacts["new"],
             "artifacts_dup": artifacts["dup"],
             "artifacts_unstored": artifacts["unstored"],
-            "unique_fingerprints": sorted(fingerprints),
             "shrink_steps": triage.shrink_steps,
-            "disagreement_tallies": stats.disagreement_summary(),
-            "backend_tallies": stats.backend_summary(),
+        }
+        payload: Dict[str, object] = {
+            "backend": self.backend or "native",
+            "oracle_backends": specs,
+            "budget": self.budget,
+            "seed": self.seed,
+            "offset": self.offset,
+            **{key: work[key] for key in self.WORK},
+            "unique_fingerprints": sorted(fingerprints),
         }
         if store is not None:
             payload["artifact_dir"] = self.artifact_dir
@@ -741,7 +728,12 @@ class FuzzJob(_JobBase):
         stats.record_automata(
             counters_delta(automata0, automata_cache_counters())
         )
-        payload["automata_cache"] = stats.automata_summary()
+        payload.update(
+            stats.tally_payload(
+                "disagreement", "backend", "automata",
+                always=("disagreement",),
+            )
+        )
         return payload
 
 

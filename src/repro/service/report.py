@@ -17,9 +17,11 @@ bits between two arrival orders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
-from repro.service.jobs import JobResult
+from repro.service.jobs import FuzzJob, JobResult
+from repro.solver.stats import FAMILIES, SolverStats
 
 
 def ordered_results(results: Sequence[JobResult]) -> List[JobResult]:
@@ -222,65 +224,54 @@ def merge_solve(results: Sequence[JobResult]) -> dict:
 def merge_fuzz(results: Sequence[JobResult]) -> dict:
     """Campaign-level aggregates over conformance-fuzz shards.
 
-    Counts sum; unique artifact fingerprints merge as a set union (two
-    shards tripping the same bug must report one unique find, not two);
+    Work counters sum (per key for the coverage and verdict maps);
+    unique artifact fingerprints merge as a set union (two shards
+    tripping the same bug must report one unique find, not two);
     disagreement tallies merge per contradicting pair.
     """
     results = ordered_results(results)
-    ok = [r for r in results if r.status == "ok"]
-    payloads = [r.payload for r in ok]
-    coverage: Dict[str, int] = {}
-    verdicts: Dict[str, int] = {}
-    fingerprints: set = set()
-    for p in payloads:
-        for key, value in (p.get("coverage") or {}).items():
-            coverage[key] = coverage.get(key, 0) + value
-        for key, value in (p.get("verdicts") or {}).items():
-            verdicts[key] = verdicts.get(key, 0) + value
-        fingerprints.update(p.get("unique_fingerprints") or ())
-    return {
+    payloads = [r.payload for r in results if r.status == "ok"]
+    merged: Dict[str, object] = {
         "jobs": len(results),
-        "failed_jobs": len(results) - len(ok),
-        "pairs": sum(p.get("pairs", 0) for p in payloads),
-        "checks": sum(p.get("checks", 0) for p in payloads),
-        "skipped": sum(p.get("skipped", 0) for p in payloads),
-        "disagreements": sum(
-            p.get("disagreements", 0) for p in payloads
-        ),
-        "tolerated_overapprox": sum(
-            p.get("tolerated_overapprox", 0) for p in payloads
-        ),
-        "artifacts_new": sum(p.get("artifacts_new", 0) for p in payloads),
-        "artifacts_dup": sum(p.get("artifacts_dup", 0) for p in payloads),
-        "artifacts_unstored": sum(
-            p.get("artifacts_unstored", 0) for p in payloads
-        ),
-        "unique_fingerprints": len(fingerprints),
-        "shrink_steps": sum(p.get("shrink_steps", 0) for p in payloads),
-        "coverage": dict(sorted(coverage.items())),
-        "verdicts": dict(sorted(verdicts.items())),
-        "disagreement_tallies": merge_disagreement_tallies(results),
+        "failed_jobs": len(results) - len(payloads),
     }
+    for key, zero in FuzzJob.WORK.items():
+        if isinstance(zero, dict):
+            totals: Dict[str, int] = {}
+            for p in payloads:
+                for name, value in (p.get(key) or {}).items():
+                    totals[name] = totals.get(name, 0) + value
+            merged[key] = dict(sorted(totals.items()))
+        else:
+            merged[key] = sum(p.get(key, 0) for p in payloads)
+    merged["unique_fingerprints"] = len(
+        {f for p in payloads for f in p.get("unique_fingerprints") or ()}
+    )
+    merged["disagreement_tallies"] = merge_disagreement_tallies(results)
+    return merged
 
 
-def merge_disagreement_tallies(
-    results: Sequence[JobResult],
-) -> Dict[str, int]:
-    """Sum backend-disagreement counts across *all* job payloads.
+def merge_tallies(results: Sequence[JobResult], family: str) -> dict:
+    """Sum one :data:`~repro.solver.stats.FAMILIES` tally family across
+    the payloads of successful jobs (coalesced replays carry ``{}``).
 
-    Fuzz jobs always carry ``payload["disagreement_tallies"]``; solve
-    and analyze jobs carry it only when a collect-mode portfolio
-    actually tripped — so a non-empty merge is the batch-level
-    soundness alarm regardless of which workload rang it.
+    A non-empty ``disagreement`` merge is the batch-level soundness
+    alarm, whichever workload rang it; the ``session`` merge's
+    ``queries_per_spawn`` is the batch-level amortization figure.
     """
-    totals: Dict[str, int] = {}
+    merged = SolverStats()
+    key = FAMILIES[family].payload
     for result in ordered_results(results):
-        if result.status != "ok":
-            continue
-        tallies = result.payload.get("disagreement_tallies") or {}
-        for pair, count in tallies.items():
-            totals[pair] = totals.get(pair, 0) + count
-    return dict(sorted(totals.items()))
+        if result.status == "ok":
+            merged.fold(family, result.payload.get(key))
+    return merged.tallies(family)
+
+
+merge_backend_tallies = partial(merge_tallies, family="backend")
+merge_session_tallies = partial(merge_tallies, family="session")
+merge_route_tallies = partial(merge_tallies, family="route")
+merge_disagreement_tallies = partial(merge_tallies, family="disagreement")
+merge_automata_counters = partial(merge_tallies, family="automata")
 
 
 def format_soundness_table(tallies: Dict[str, int]) -> str:
@@ -290,87 +281,6 @@ def format_soundness_table(tallies: Dict[str, int]) -> str:
         shown = pair if len(pair) <= 40 else "..." + pair[-37:]
         lines.append(f"{shown:<40} {count:>9}")
     return "\n".join(lines)
-
-
-# -- automata-cache merge -----------------------------------------------------
-
-
-def merge_automata_counters(results: Sequence[JobResult]) -> dict:
-    """Sum per-job automata compilation-cache counters.
-
-    Jobs that compiled anything carry ``payload["automata_cache"]``
-    (their run's share of the process-global interner counters);
-    coalesced duplicates carry an empty dict and contribute nothing.
-    """
-    totals = {"hits": 0, "misses": 0, "disk_hits": 0, "disk_stores": 0}
-    for result in ordered_results(results):
-        if result.status != "ok":
-            continue
-        counters = result.payload.get("automata_cache") or {}
-        for key in totals:
-            totals[key] += counters.get(key, 0)
-    lookups = totals["hits"] + totals["disk_hits"] + totals["misses"]
-    totals["hit_rate"] = (
-        (totals["hits"] + totals["disk_hits"]) / lookups if lookups else 0.0
-    )
-    return totals
-
-
-# -- backend merge ------------------------------------------------------------
-
-
-def merge_backend_tallies(results: Sequence[JobResult]) -> Dict[str, dict]:
-    """Sum per-backend outcome/latency tallies across job payloads.
-
-    Jobs that solved anything carry ``payload["backend_tallies"]``
-    (JSON-shaped :class:`repro.solver.stats.BackendTally` dicts keyed by
-    backend name); the merge is a plain per-name sum, so one corpus
-    table can compare e.g. ``native`` vs ``cached:native`` traffic.
-    """
-    from repro.solver.stats import BackendTally
-
-    totals: Dict[str, BackendTally] = {}
-    for result in ordered_results(results):
-        if result.status != "ok":
-            continue
-        tallies = result.payload.get("backend_tallies") or {}
-        for name, tally in tallies.items():
-            agg = totals.setdefault(name, BackendTally())
-            agg.merge_dict(tally)
-    return {name: tally.as_dict() for name, tally in sorted(totals.items())}
-
-
-def merge_session_tallies(results: Sequence[JobResult]) -> Dict[str, dict]:
-    """Sum incremental-session lifecycle tallies across job payloads.
-
-    Jobs that solved through a ``session:`` (or ``route:``) backend
-    carry ``payload["session_tallies"]`` — JSON-shaped
-    :class:`repro.solver.stats.SessionTally` dicts keyed by session
-    name; the merged ``queries_per_spawn`` is the batch-level
-    amortization figure (a one-shot ``smtlib:`` backend would sit at 1).
-    """
-    from repro.solver.stats import SessionTally
-
-    totals: Dict[str, SessionTally] = {}
-    for result in ordered_results(results):
-        if result.status != "ok":
-            continue
-        tallies = result.payload.get("session_tallies") or {}
-        for name, tally in tallies.items():
-            agg = totals.setdefault(name, SessionTally())
-            agg.merge_dict(tally)
-    return {name: tally.as_dict() for name, tally in sorted(totals.items())}
-
-
-def merge_route_tallies(results: Sequence[JobResult]) -> Dict[str, int]:
-    """Sum routing decision counts (``feature->target``) across payloads."""
-    totals: Dict[str, int] = {}
-    for result in ordered_results(results):
-        if result.status != "ok":
-            continue
-        for key, count in (result.payload.get("route_tallies") or {}).items():
-            totals[key] = totals.get(key, 0) + count
-    return dict(sorted(totals.items()))
 
 
 def format_session_table(tallies: Dict[str, dict]) -> str:

@@ -73,8 +73,9 @@ from repro.faults.retry import RetryPolicy, crash_result
 from repro.obs import metrics as _metrics
 from repro.obs.export import ObsRun
 from repro.solver.backends.cached import QueryCache, SharedQueryCache
-from repro.service.jobs import JobResult, _JobBase, job_from_spec
+from repro.service.jobs import FuzzJob, JobResult, _JobBase, job_from_spec
 from repro.solver.backends import CachedBackend, make_backend
+from repro.solver.stats import FAMILIES
 
 #: Per-worker-process state, installed by the pool initializer and
 #: reused by every job the worker executes.
@@ -946,7 +947,10 @@ def _coalesce(
 
 
 def replay_result(
-    job: _JobBase, rep_job: _JobBase, rep_result: JobResult
+    job: _JobBase,
+    rep_job: _JobBase,
+    rep_result: JobResult,
+    same_report: bool = False,
 ) -> JobResult:
     """The result a coalesced job replays from its representative.
 
@@ -956,6 +960,12 @@ def replay_result(
     can tell replayed results from executed ones.  Shared by the batch
     scheduler's dedup fan-out and the serve daemon's cross-client
     single-flight table.
+
+    Alarm tallies (disagreements, breaker trips) and a fuzz campaign's
+    findings are kept: a serve waiter's replay is its only result.
+    ``same_report`` (the batch fan-out, whose report also holds the
+    representative's result) zeroes them too, so merging the report
+    counts the finds once.
     """
     payload = dict(rep_result.payload)
     payload["deduped_from"] = rep_job.job_id
@@ -964,16 +974,17 @@ def replay_result(
         # job's own path; a replayed copy must not keep the
         # representative's (reports would list one program twice).
         payload["name"] = getattr(job, "path", None) or job.job_id
-    for zeroed, value in (
-        ("solver_queries", 0),
-        ("solver_seconds", 0.0),
-        ("backend_tallies", {}),
-        ("session_tallies", {}),
-        ("route_tallies", {}),
-        ("automata_cache", {}),
-    ):
-        if zeroed in payload:
-            payload[zeroed] = value
+    zeroed = ["solver_queries", "solver_seconds"]
+    zeroed += [
+        f.payload
+        for f in FAMILIES.values()
+        if f.payload and (same_report or not f.alarm)
+    ]
+    if same_report and rep_result.kind == FuzzJob.KIND:
+        zeroed += FuzzJob.WORK
+    for key in zeroed:
+        if key in payload:
+            payload[key] = type(payload[key])()
     return JobResult(
         job_id=job.job_id,
         kind=rep_result.kind,
@@ -1001,6 +1012,8 @@ def _fan_out(
             results.append(rep_result)
         else:
             results.append(
-                replay_result(job, unique_jobs[slot], rep_result)
+                replay_result(
+                    job, unique_jobs[slot], rep_result, same_report=True
+                )
             )
     return results

@@ -391,13 +391,14 @@ class PooledSessionBackend(SolverBackend):
             # machines and the router's native fallback takes over.
             self.last_error = probe_solver_command(self.command)
             return SolverResult(UNKNOWN)
-        if not self.breaker.allow():
+        on_event = (
+            self.stats.record_breaker if self.stats is not None else None
+        )
+        if not self.breaker.allow(on_event):
             # Open breaker (and no probe slot): the command has been
             # failing repeatedly — short-circuit to UNKNOWN for the
             # cool-down window instead of paying spawn-and-fail again.
             self.last_error = f"circuit open for {self.command!r}"
-            if self.stats is not None:
-                self.stats.record_breaker(self.name, "short_circuit")
             return SolverResult(UNKNOWN)
         with self.pool.checkout(
             self.command,

@@ -400,19 +400,18 @@ class SessionBackend(SolverBackend):
         return None
 
     def _breaker_feed(self, ok: bool) -> None:
-        """Feed the per-command breaker (and point its transition
-        recorder at this solve's stats, so trips land in the right
-        run's ``breaker_tallies``)."""
+        """Feed the per-command breaker; a transition this query drove
+        lands in this solve's ``breaker_tallies``."""
         breaker = self.breaker
         if breaker is None:
             return
-        breaker.recorder = (
+        on_event = (
             self.stats.record_breaker if self.stats is not None else None
         )
         if ok:
-            breaker.record_success()
+            breaker.record_success(on_event)
         else:
-            breaker.record_failure()
+            breaker.record_failure(on_event)
 
     def _unknown(self, reason: str) -> SolverResult:
         self.last_error = reason

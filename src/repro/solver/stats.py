@@ -4,6 +4,15 @@ The paper's Table 8 and §7.4 report per-query and per-package solver
 times, broken down by whether the query modelled capture groups and
 whether refinement was needed.  This module provides the collector those
 experiments read from.
+
+Every per-run tally is one *family* of :data:`FAMILIES`: the table
+names the family's payload key, the zero entry it counts into, the
+ratios its summary carries and the ``repro.obs.metrics`` series it
+mirrors.  One record path (:meth:`SolverStats._record`) folds an event
+into the table and, when a registry is enabled, mirrors it; one
+serialise/merge pair (:meth:`SolverStats.tallies` /
+:meth:`SolverStats.fold`) turns the table into JSON-shaped payloads and
+folds payloads back in, which is how the batch report merges jobs.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 
@@ -31,140 +40,162 @@ class QueryRecord:
     hit_refinement_limit: bool = False
 
 
-@dataclass
-class BackendTally:
-    """Outcome/latency counters for one solver backend (by spec name)."""
-
-    queries: int = 0
-    sat: int = 0
-    unsat: int = 0
-    unknown: int = 0
-    errors: int = 0
-    seconds: float = 0.0
-    #: Most recent error detail (``"ExcType: message"``) — populated by
-    #: crash-capturing callers (the portfolio's member wrapper) so a
-    #: crashed backend is diagnosable from the tallies, not just a bare
-    #: ``errors`` count.
-    last_error: Optional[str] = None
-
-    @property
-    def definitive(self) -> int:
-        return self.sat + self.unsat
-
-    @property
-    def definitive_rate(self) -> float:
-        return self.definitive / self.queries if self.queries else 0.0
-
-    def add(self, status: str, seconds: float,
-            error: Optional[str] = None) -> None:
-        self.queries += 1
-        self.seconds += seconds
-        if status == "sat":
-            self.sat += 1
-        elif status == "unsat":
-            self.unsat += 1
-        elif status == "error":
-            self.errors += 1
-        else:
-            self.unknown += 1
-        if error is not None:
-            self.last_error = error
-
-    def as_dict(self) -> dict:
-        shaped = {
-            "queries": self.queries,
-            "sat": self.sat,
-            "unsat": self.unsat,
-            "unknown": self.unknown,
-            "errors": self.errors,
-            "seconds": self.seconds,
-            "definitive_rate": self.definitive_rate,
-        }
-        if self.last_error is not None:
-            # Only when an error was captured: the common clean-path
-            # payload keeps its pre-existing shape exactly.
-            shaped["last_error"] = self.last_error
-        return shaped
-
-    def merge_dict(self, other: dict) -> None:
-        """Fold a JSON-shaped tally (``as_dict`` output) into this one."""
-        self.queries += other.get("queries", 0)
-        self.sat += other.get("sat", 0)
-        self.unsat += other.get("unsat", 0)
-        self.unknown += other.get("unknown", 0)
-        self.errors += other.get("errors", 0)
-        self.seconds += other.get("seconds", 0.0)
-        if other.get("last_error") is not None:
-            self.last_error = other["last_error"]
+def _ratio(part: float, whole: float) -> float:
+    return part / whole if whole else 0.0
 
 
-@dataclass
-class SessionTally:
-    """Lifecycle counters for one incremental solver session (by name).
+@dataclass(frozen=True)
+class Family:
+    """How one tally family is stored, shaped and mirrored."""
 
-    ``seconds`` is cumulative subprocess lifetime: each spawn's clock is
-    added when the process ends (crash, reset-kill, or close).  The
-    amortization claim of the session backend is ``queries_per_spawn``:
-    a healthy session answers many queries per subprocess spawn, where
-    the one-shot ``smtlib:`` backend is pinned at 1.
-    """
+    #: Key of the family in job payloads (``None``: never emitted).
+    payload: Optional[str] = None
+    #: Zero entry of one key's counters; ``None`` keeps one bare count
+    #: per key.
+    zero: Optional[Dict[str, float]] = None
+    #: ``False`` for one unkeyed entry (the two caches' counters).
+    keyed: bool = True
+    #: The ratios a summary entry carries, from its counters.
+    derive: Callable[[dict], dict] = lambda counts: {}
+    #: Counter bumped once per record with the record's labels or, with
+    #: ``per_kind``, by each counted field's amount under label ``kind``.
+    counter: Optional[str] = None
+    per_kind: bool = False
+    #: Names of the metric labels; a record passes their values in
+    #: this order.
+    labels: Tuple[str, ...] = ()
+    #: Histogram of a record's ``seconds``, keeping ``histogram_labels``.
+    histogram: Optional[str] = None
+    histogram_labels: Tuple[str, ...] = ()
+    #: An alarm (trouble, not work): emitted into payloads only when
+    #: non-empty, so a clean run's payload keeps its shape, and kept
+    #: by a serve waiter's replay (see ``runner.replay_result``).
+    alarm: bool = False
 
-    spawns: int = 0
-    restarts: int = 0
-    resets: int = 0
-    queries: int = 0
-    seconds: float = 0.0
-    #: Pool traffic (populated by ``repro.solver.backends.pool``): how
-    #: many times this session spec was leased from the shared pool,
-    #: and how many of those leases had to block on the request queue.
-    checkouts: int = 0
-    waits: int = 0
 
-    @property
-    def queries_per_spawn(self) -> float:
-        return self.queries / self.spawns if self.spawns else 0.0
+#: Every family, in payload order.  ``query`` stores its records in
+#: :attr:`SolverStats.queries` (Table 8 needs each one) and only shares
+#: the record path and its metric mirrors.
+FAMILIES: Dict[str, Family] = {
+    "query": Family(
+        counter="solver_queries_total",
+        labels=("status", "refined"),
+        histogram="solver_query_seconds",
+    ),
+    "cache": Family(
+        zero={"hits": 0, "misses": 0},
+        keyed=False,
+        derive=lambda t: {
+            "lookups": t["hits"] + t["misses"],
+            "hit_rate": _ratio(t["hits"], t["hits"] + t["misses"]),
+        },
+        counter="query_cache_lookups_total",
+        labels=("outcome",),
+    ),
+    "backend": Family(
+        payload="backend_tallies",
+        zero={
+            "queries": 0,
+            "sat": 0,
+            "unsat": 0,
+            "unknown": 0,
+            "errors": 0,
+            "seconds": 0.0,
+        },
+        derive=lambda t: {
+            "definitive_rate": _ratio(t["sat"] + t["unsat"], t["queries"])
+        },
+        counter="backend_queries_total",
+        labels=("backend", "status"),
+        histogram="backend_seconds",
+        histogram_labels=("backend",),
+    ),
+    # ``seconds`` is cumulative subprocess lifetime; the amortization
+    # claim of the session backend is ``queries_per_spawn`` (a one-shot
+    # ``smtlib:`` backend is pinned at 1).  ``checkouts``/``waits`` are
+    # pool leases and the leases that blocked.
+    "session": Family(
+        payload="session_tallies",
+        zero={
+            "spawns": 0,
+            "restarts": 0,
+            "resets": 0,
+            "queries": 0,
+            "seconds": 0.0,
+            "checkouts": 0,
+            "waits": 0,
+        },
+        derive=lambda t: {
+            "queries_per_spawn": _ratio(t["queries"], t["spawns"])
+        },
+        counter="session_events_total",
+        per_kind=True,
+        labels=("session",),
+    ),
+    "route": Family(
+        payload="route_tallies",
+        counter="route_decisions_total",
+        labels=("route", "target"),
+    ),
+    "breaker": Family(payload="breaker_tallies", alarm=True),
+    # Soundness trip-wire: two sound-by-construction deciders returned
+    # contradictory definitive answers.  Empty on every honest run.
+    "disagreement": Family(
+        payload="disagreement_tallies",
+        counter="backend_disagreements_total",
+        labels=("pair",),
+        alarm=True,
+    ),
+    # This run's share of the process-global automata interner, which
+    # mirrors its own lookups into the registry.
+    "automata": Family(
+        payload="automata_cache",
+        zero={"hits": 0, "misses": 0, "disk_hits": 0, "disk_stores": 0},
+        keyed=False,
+        derive=lambda t: {
+            "hit_rate": _ratio(
+                t["hits"] + t["disk_hits"],
+                t["hits"] + t["disk_hits"] + t["misses"],
+            )
+        },
+    ),
+}
 
-    def add(
-        self,
-        spawns: int = 0,
-        restarts: int = 0,
-        resets: int = 0,
-        queries: int = 0,
-        seconds: float = 0.0,
-        checkouts: int = 0,
-        waits: int = 0,
-    ) -> None:
-        self.spawns += spawns
-        self.restarts += restarts
-        self.resets += resets
-        self.queries += queries
-        self.seconds += seconds
-        self.checkouts += checkouts
-        self.waits += waits
+#: Backend statuses that have their own counter (the rest are unknown).
+_OUTCOMES = {"sat": "sat", "unsat": "unsat", "error": "errors"}
 
-    def as_dict(self) -> dict:
-        return {
-            "spawns": self.spawns,
-            "restarts": self.restarts,
-            "resets": self.resets,
-            "queries": self.queries,
-            "seconds": self.seconds,
-            "checkouts": self.checkouts,
-            "waits": self.waits,
-            "queries_per_spawn": self.queries_per_spawn,
-        }
 
-    def merge_dict(self, other: dict) -> None:
-        """Fold a JSON-shaped tally (``as_dict`` output) into this one."""
-        self.add(
-            spawns=other.get("spawns", 0),
-            restarts=other.get("restarts", 0),
-            resets=other.get("resets", 0),
-            queries=other.get("queries", 0),
-            seconds=other.get("seconds", 0.0),
-            checkouts=other.get("checkouts", 0),
-            waits=other.get("waits", 0),
-        )
+class Tally(dict):
+    """One entry of a keyed family summary, fields readable as
+    attributes (``stats.backend_tallies["native"].queries``)."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+
+#: The historical name of a ``backend_tallies`` entry.
+BackendTally = Tally
+
+
+def _shape(family: Family, entry: dict) -> dict:
+    shaped = {name: entry[name] for name in family.zero}
+    shaped.update(family.derive(shaped))
+    # Text fields (a backend's ``last_error``) only once recorded.
+    shaped.update((k, v) for k, v in entry.items() if k not in shaped)
+    return shaped
+
+
+def _summary(family: str):
+    def summary(self) -> dict:
+        return self.tallies(family)
+
+    summary.__doc__ = f"JSON-shaped ``{family}`` tallies (payloads/reports)."
+    return summary
 
 
 @dataclass
@@ -172,215 +203,206 @@ class SolverStats:
     """Aggregated statistics across queries (reset per experiment)."""
 
     queries: List[QueryRecord] = field(default_factory=list)
-    #: Solver query cache counters (populated when solving through a
-    #: :class:`repro.solver.backends.cached.CachedSolver`).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Per-backend outcome/latency tallies, keyed by backend name
-    #: (populated when solving through ``repro.solver.backends``).
-    backend_tallies: Dict[str, BackendTally] = field(default_factory=dict)
-    #: Incremental-session lifecycle counters, keyed by session backend
-    #: name (populated by ``repro.solver.backends.session``).
-    session_tallies: Dict[str, SessionTally] = field(default_factory=dict)
-    #: Routing decision counters, keyed by ``"<feature>-><target>"``
-    #: (populated by ``repro.solver.backends.router``).
-    route_tallies: Dict[str, int] = field(default_factory=dict)
-    #: Circuit-breaker transition counters, keyed by
-    #: ``"<command>:<event>"`` (``open`` / ``close`` / ``reopen`` /
-    #: ``probe`` / ``short_circuit`` — populated by
-    #: ``repro.faults.breaker`` through the session backends).
-    breaker_tallies: Dict[str, int] = field(default_factory=dict)
-    #: Soundness trip-wire counters, keyed by the disagreeing member
-    #: pair (``"<member-a>|<member-b>"``) — populated by collect-mode
-    #: portfolios and the conformance oracle when two sound-by-
-    #: construction deciders return contradictory definitive answers.
-    #: Empty on every honest run.
-    disagreement_tallies: Dict[str, int] = field(default_factory=dict)
-    #: Automata compilation-cache counters (this run's share of the
-    #: process-global interner; populated by the engine and the service
-    #: jobs from :func:`repro.automata.automata_cache_counters` deltas).
-    automata_hits: int = 0
-    automata_misses: int = 0
-    automata_disk_hits: int = 0
-    automata_disk_stores: int = 0
     #: Ring-buffer cap on ``queries``: daemon-length runs record
     #: millions of :class:`QueryRecord`\ s, so past the cap the oldest
     #: records are dropped (and counted in ``dropped_query_records``)
     #: instead of leaking memory.  ``None`` keeps every record.
     max_query_records: Optional[int] = None
     dropped_query_records: int = 0
-    #: Backend tallies are the one path mutated from worker threads (a
-    #: portfolio's members — including abandoned stragglers finishing
-    #: late — all share this object), so they get their own lock.
+    #: family -> key -> counters (a bare count for ``zero=None``
+    #: families; key ``None`` for unkeyed ones).
+    _tallies: Dict[str, dict] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    #: Records arrive from worker threads (a portfolio's members, even
+    #: abandoned stragglers finishing late, share this object).
     _tally_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def record(self, record: QueryRecord) -> None:
+    # -- the record path ------------------------------------------------------
+
+    def _record(
+        self,
+        family: str,
+        key: Optional[str] = None,
+        counts=1,
+        labels: Tuple[str, ...] = (),
+        seconds: float = 0.0,
+        query: Optional[QueryRecord] = None,
+    ) -> None:
+        """Fold one event into ``family[key]`` and mirror it (``labels``
+        are the values of the family's metric labels)."""
+        spec = FAMILIES[family]
         with self._tally_lock:
-            self.queries.append(record)
-            if (
-                self.max_query_records is not None
-                and len(self.queries) > self.max_query_records
-            ):
-                overflow = len(self.queries) - self.max_query_records
-                del self.queries[:overflow]
-                self.dropped_query_records += overflow
-        _metrics.count(
-            "solver_queries_total",
-            status=record.status,
-            refined=str(record.refinements > 0).lower(),
+            if query is not None:
+                self._keep(query)
+            else:
+                self._add(family, spec, key, counts)
+        if spec.counter is None or not _metrics.enabled():
+            return
+        labels = dict(zip(spec.labels, labels))
+        if spec.per_kind:
+            for kind, amount in counts.items():
+                if amount and kind != "seconds":
+                    _metrics.count(spec.counter, amount, kind=kind, **labels)
+        else:
+            _metrics.count(spec.counter, **labels)
+        if spec.histogram is not None:
+            _metrics.observe(
+                spec.histogram,
+                seconds,
+                **{name: labels[name] for name in spec.histogram_labels},
+            )
+
+    def _keep(self, record: QueryRecord) -> None:
+        self.queries.append(record)
+        if (
+            self.max_query_records is not None
+            and len(self.queries) > self.max_query_records
+        ):
+            overflow = len(self.queries) - self.max_query_records
+            del self.queries[:overflow]
+            self.dropped_query_records += overflow
+
+    def _add(self, family: str, spec: Family, key, counts) -> None:
+        """Fold ``counts`` into ``family[key]`` (caller holds the lock)."""
+        zero = spec.zero
+        table = self._tallies.setdefault(family, {})
+        if zero is None:
+            table[key] = table.get(key, 0) + counts
+            return
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = dict(zero)
+        for name, amount in counts.items():
+            if isinstance(amount, str):
+                entry[name] = amount  # the latest detail wins
+            else:
+                entry[name] = entry.get(name, 0) + amount
+
+    # -- the one serialise/merge pair -----------------------------------------
+
+    def tallies(self, family: str) -> dict:
+        """JSON-shaped summary of one family (keys sorted)."""
+        spec = FAMILIES[family]
+        with self._tally_lock:
+            table = sorted(self._tallies.get(family, {}).items())
+            if spec.zero is None:
+                return dict(table)
+            shaped = {key: _shape(spec, entry) for key, entry in table}
+        if spec.keyed:
+            return shaped
+        return shaped.get(None) or _shape(spec, spec.zero)
+
+    def fold(self, family: str, shaped: Optional[dict]) -> None:
+        """Merge a :meth:`tallies`-shaped dict into this collector.
+
+        Not mirrored: the events were counted where they happened, and
+        this only re-buckets them (per job, per batch).
+        """
+        spec = FAMILIES[family]
+        entries = (shaped or {}).items() if spec.keyed else [(None, shaped)]
+        with self._tally_lock:
+            for key, counts in entries:
+                if spec.zero is not None:
+                    if not counts:
+                        continue
+                    counts = {
+                        name: amount
+                        for name, amount in counts.items()
+                        if name in spec.zero or isinstance(amount, str)
+                    }
+                self._add(family, spec, key, counts)
+
+    def tally_payload(self, *families: str, always=()) -> Dict[str, dict]:
+        """The tally keys of a job payload: ``families`` (default: every
+        emitted family) in order, an alarm family only when non-empty
+        or named in ``always``."""
+        payload = {}
+        for family in families or FAMILIES:
+            spec = FAMILIES[family]
+            if spec.payload is None:
+                continue
+            shaped = self.tallies(family)
+            if shaped or not spec.alarm or family in always:
+                payload[spec.payload] = shaped
+        return payload
+
+    # -- bindings -------------------------------------------------------------
+
+    def record(self, record: QueryRecord) -> None:
+        self._record(
+            "query",
+            labels=(record.status, str(record.refinements > 0).lower()),
+            seconds=record.seconds,
+            query=record,
         )
-        _metrics.observe("solver_query_seconds", record.seconds)
 
     def record_cache(self, hit: bool) -> None:
-        # Cached backends race as portfolio members on worker threads
-        # and share this object, so the counters take the tally lock
-        # exactly like ``record_backend`` does.
-        with self._tally_lock:
-            if hit:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-        _metrics.count(
-            "query_cache_lookups_total",
-            outcome="hit" if hit else "miss",
+        self._record(
+            "cache",
+            counts={"hits" if hit else "misses": 1},
+            labels=("hit" if hit else "miss",),
         )
 
     def record_backend(self, name: str, status: str, seconds: float,
                        error: Optional[str] = None) -> None:
-        with self._tally_lock:
-            tally = self.backend_tallies.get(name)
-            if tally is None:
-                tally = self.backend_tallies[name] = BackendTally()
-            tally.add(status, seconds, error=error)
-        _metrics.count("backend_queries_total", backend=name, status=status)
-        _metrics.observe("backend_seconds", seconds, backend=name)
+        counts = {
+            "queries": 1,
+            _OUTCOMES.get(status, "unknown"): 1,
+            "seconds": seconds,
+        }
+        if error is not None:
+            counts["last_error"] = error
+        self._record(
+            "backend", name, counts, (name, status), seconds
+        )
 
-    def record_session(self, name: str, **delta: float) -> None:
-        """Fold session lifecycle counters for backend ``name``.
-
-        Keyword counters are those of :meth:`SessionTally.add`
-        (``spawns``, ``restarts``, ``resets``, ``queries``, ``seconds``).
-        Sessions share the tally lock with backend tallies: a session
-        racing inside a portfolio reports from a worker thread.
-        """
-        with self._tally_lock:
-            tally = self.session_tallies.get(name)
-            if tally is None:
-                tally = self.session_tallies[name] = SessionTally()
-            tally.add(**delta)
-        if _metrics.enabled():
-            for kind, amount in delta.items():
-                if amount and kind != "seconds":
-                    _metrics.count(
-                        "session_events_total",
-                        amount,
-                        session=name,
-                        kind=kind,
-                    )
+    def record_session(self, name: str, **counts: float) -> None:
+        """Fold lifecycle counters (``spawns``, ``restarts``, ``resets``,
+        ``queries``, ``seconds``, ``checkouts``, ``waits``) for ``name``."""
+        self._record("session", name, counts, (name,))
 
     def record_route(self, feature: str, target: str) -> None:
-        """Count one routing decision ``feature -> target``."""
-        key = f"{feature}->{target}"
-        with self._tally_lock:
-            self.route_tallies[key] = self.route_tallies.get(key, 0) + 1
-        _metrics.count("route_decisions_total", route=feature, target=target)
+        self._record(
+            "route",
+            f"{feature}->{target}",
+            labels=(feature, target),
+        )
 
     def record_breaker(self, name: str, event: str) -> None:
-        """Count one circuit-breaker event for session command ``name``
-        (``open`` / ``close`` / ``reopen`` / ``probe`` /
-        ``short_circuit``).  The breaker itself mirrors transitions into
-        obs metrics; this is the per-run bucketing for payloads."""
-        key = f"{name}:{event}"
-        with self._tally_lock:
-            self.breaker_tallies[key] = self.breaker_tallies.get(key, 0) + 1
+        """Count one circuit-breaker event (``open`` / ``close`` /
+        ``reopen`` / ``probe`` / ``short_circuit``) for command ``name``."""
+        self._record("breaker", f"{name}:{event}")
 
     def record_disagreement(self, pair: str) -> None:
-        """Count one backend disagreement for member pair ``pair``
-        (``"<member-a>|<member-b>"``).  Disagreements surface from
-        worker threads (a portfolio's grace window) and from the
-        conformance oracle, so they share the tally lock."""
-        with self._tally_lock:
-            self.disagreement_tallies[pair] = (
-                self.disagreement_tallies.get(pair, 0) + 1
-            )
-        _metrics.count("backend_disagreements_total", pair=pair)
+        """Count one contradiction of member pair ``"<a>|<b>"``."""
+        self._record("disagreement", pair, labels=(pair,))
 
     def record_automata(self, delta: Dict[str, int]) -> None:
-        """Fold a compilation-cache counters delta into this collector.
+        """Fold a compilation-cache counters delta (not mirrored)."""
+        self.fold("automata", delta)
 
-        Deliberately does *not* mirror into ``repro.obs.metrics``: the
-        interner feeds the registry directly at lookup time, and this
-        method only re-buckets those same global counters per run.
-        """
-        with self._tally_lock:
-            self.automata_hits += delta.get("hits", 0)
-            self.automata_misses += delta.get("misses", 0)
-            self.automata_disk_hits += delta.get("disk_hits", 0)
-            self.automata_disk_stores += delta.get("disk_stores", 0)
+    backend_summary = _summary("backend")
+    session_summary = _summary("session")
+    route_summary = _summary("route")
+    breaker_summary = _summary("breaker")
+    disagreement_summary = _summary("disagreement")
+    cache_summary = _summary("cache")
+    automata_summary = _summary("automata")
 
-    def automata_summary(self) -> dict:
-        """JSON-shaped compilation-cache counters (for payloads/reports)."""
-        lookups = (
-            self.automata_hits + self.automata_disk_hits
-            + self.automata_misses
-        )
-        return {
-            "hits": self.automata_hits,
-            "misses": self.automata_misses,
-            "disk_hits": self.automata_disk_hits,
-            "disk_stores": self.automata_disk_stores,
-            "hit_rate": (
-                (self.automata_hits + self.automata_disk_hits) / lookups
-                if lookups
-                else 0.0
-            ),
-        }
-
-    def backend_summary(self) -> Dict[str, dict]:
-        """JSON-shaped per-backend tallies (for job payloads/reports)."""
-        with self._tally_lock:
-            return {
-                name: tally.as_dict()
-                for name, tally in sorted(self.backend_tallies.items())
-            }
-
-    def session_summary(self) -> Dict[str, dict]:
-        """JSON-shaped per-session tallies (for job payloads/reports)."""
-        with self._tally_lock:
-            return {
-                name: tally.as_dict()
-                for name, tally in sorted(self.session_tallies.items())
-            }
-
-    def route_summary(self) -> Dict[str, int]:
-        """JSON-shaped routing decision counts (for payloads/reports)."""
-        with self._tally_lock:
-            return dict(sorted(self.route_tallies.items()))
-
-    def breaker_summary(self) -> Dict[str, int]:
-        """JSON-shaped breaker transition counts (for payloads/reports);
-        empty on the no-trip fast path."""
-        with self._tally_lock:
-            return dict(sorted(self.breaker_tallies.items()))
-
-    def disagreement_summary(self) -> Dict[str, int]:
-        """JSON-shaped disagreement counts per member pair (for
-        payloads and the report's Soundness table); empty on every
-        honest run."""
-        with self._tally_lock:
-            return dict(sorted(self.disagreement_tallies.items()))
-
-    def cache_summary(self) -> dict:
-        """Hit/miss counters of the solver query cache, if one was used."""
-        lookups = self.cache_hits + self.cache_misses
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "lookups": lookups,
-            "hit_rate": self.cache_hits / lookups if lookups else 0.0,
-        }
+    backend_tallies = property(
+        lambda self: {k: Tally(v) for k, v in self.backend_summary().items()}
+    )
+    session_tallies = property(
+        lambda self: {k: Tally(v) for k, v in self.session_summary().items()}
+    )
+    route_tallies = property(route_summary)
+    breaker_tallies = property(breaker_summary)
+    disagreement_tallies = property(disagreement_summary)
+    cache_hits = property(lambda self: self.cache_summary()["hits"])
+    cache_misses = property(lambda self: self.cache_summary()["misses"])
 
     # -- Table 8 aggregates --------------------------------------------------
 

@@ -234,6 +234,49 @@ class TestBreakerRecovery:
         finally:
             pool.close()
 
+    def test_transitions_land_in_the_stats_of_the_job_that_drove_them(
+        self, tmp_path
+    ):
+        cmd = fake_solver(tmp_path)
+        reset_breakers()
+        breaker = get_breaker(
+            f"session:{cmd}", fail_threshold=2, cooldown_s=0.4
+        )
+        pool = SessionPool()
+        stats_a, stats_b = SolverStats(), SolverStats()
+        job_a = PooledSessionBackend(
+            cmd, timeout=0.2, stats=stats_a, pool=pool
+        )
+        job_b = PooledSessionBackend(
+            cmd, timeout=0.2, stats=stats_b, pool=pool
+        )
+        faults.install(
+            {
+                "rules": [
+                    {"site": "session:query", "action": "wedge", "count": 2}
+                ]
+            }
+        )
+        try:
+            formula = membership("a+b")
+            # Job A wedges twice and opens the process-global breaker.
+            assert job_a.solve(formula).status == UNKNOWN
+            assert job_a.solve(formula).status == UNKNOWN
+            assert breaker.state == "open"
+            time.sleep(0.45)
+            # After the cool-down, job B's query is the half-open probe
+            # and closes the breaker: both transitions are B's.
+            assert job_b.solve(formula).status == UNSAT
+            assert breaker.state == "closed"
+            name = f"session:{cmd}"
+            assert stats_a.breaker_summary() == {f"{name}:open": 1}
+            assert stats_b.breaker_summary() == {
+                f"{name}:close": 1,
+                f"{name}:probe": 1,
+            }
+        finally:
+            pool.close()
+
 
 class TestCorruptStoreEviction:
     def test_corrupt_query_store_entry_evicted_and_rewritable(

@@ -116,6 +116,8 @@ class TestSolverStatsFeed:
         stats.record_backend("native", "sat", 0.01)
         stats.record_session("session:z3", spawns=1, queries=3)
         stats.record_route("bounded", "native")
+        stats.record_disagreement("native|planted")
+        stats.record_disagreement("native|planted")
         snapshot = registry.snapshot()
         queries = {
             (s["labels"]["status"], s["labels"]["refined"]): s["value"]
@@ -136,6 +138,17 @@ class TestSolverStatsFeed:
         assert sessions == {"spawns": 1, "queries": 3}
         route = snapshot["counters"]["route_decisions_total"][0]
         assert route["labels"] == {"route": "bounded", "target": "native"}
+        (pair,) = snapshot["counters"]["backend_disagreements_total"]
+        assert pair["labels"] == {"pair": "native|planted"}
+        assert pair["value"] == 2
+        (latency,) = snapshot["histograms"]["backend_seconds"]
+        assert latency["labels"] == {"backend": "native"}
+        assert latency["count"] == 1
+        assert latency["sum"] == pytest.approx(0.01)
+        (query_seconds,) = snapshot["histograms"]["solver_query_seconds"]
+        assert query_seconds["labels"] == {}
+        assert query_seconds["count"] == 2
+        assert query_seconds["sum"] == pytest.approx(0.03)
         # The stats object itself still tallies as before.
         assert len(stats.queries) == 2
         assert stats.cache_hits == 1 and stats.cache_misses == 1

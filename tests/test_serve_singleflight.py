@@ -151,6 +151,46 @@ class TestSingleFlight:
             owner.close()
             survivor.close()
 
+    def test_coalesced_fuzz_waiters_each_keep_the_finds(
+        self, tmp_path, gate_kind
+    ):
+        # A waiter's replay is its only result: unlike a batch replay
+        # (whose representative sits in the same report) it keeps the
+        # campaign's disagreements and the Soundness tallies.
+        server, sock_path = start_daemon(tmp_path, max_inflight=1)
+        a = ServeClient(socket_path=sock_path, timeout=15.0)
+        b = ServeClient(socket_path=sock_path, timeout=15.0)
+        spec = {
+            "kind": "fuzz",
+            "budget": 6,
+            "seed": 7,
+            "oracle_backends": ["native", "planted:"],
+            "solver_timeout": 1.0,
+            "shrink": False,
+        }
+        try:
+            a.submit({"kind": "gate", "gate": "head"})  # holds the pool
+            first = a.submit(spec)
+            twin = b.submit(spec)
+            assert twin["coalesced"] is True
+            open_gate("head")
+            executed = a.wait_result(first["id"]).payload
+            replayed = b.wait_result(twin["id"]).payload
+            assert replayed["deduped_from"] == first["job_id"]
+            assert executed["disagreements"] > 0
+            for key in ("disagreements", "checks", "verdicts"):
+                assert replayed[key] == executed[key]
+            assert (
+                replayed["disagreement_tallies"]
+                == executed["disagreement_tallies"]
+                != {}
+            )
+            # Solver work is still the representative's alone.
+            assert replayed["backend_tallies"] == {}
+        finally:
+            a.close()
+            b.close()
+
     def test_single_flight_can_be_disabled(self, tmp_path, gate_kind):
         server, sock_path = start_daemon(
             tmp_path, single_flight=False, max_inflight=2

@@ -3,11 +3,13 @@
 from repro.service import (
     AnalyzeJob,
     BatchRunner,
+    FuzzJob,
     RunnerConfig,
     SolveJob,
     SurveyJob,
     format_batch_report,
     merge_backend_tallies,
+    merge_fuzz,
 )
 from repro.service.runner import _coalesce
 
@@ -150,3 +152,33 @@ class TestBatchDedup:
         assert report.jobs_executed == 1
         assert [r.status for r in report.results] == ["error", "error"]
         assert report.results[0].error == report.results[1].error
+
+
+class TestFuzzReplay:
+    def fuzz_job(self, job_id):
+        # The planted backend contradicts native on pinned words that
+        # contain ``q``, so the campaign has disagreements to double.
+        return FuzzJob(
+            job_id=job_id,
+            budget=6,
+            seed=7,
+            oracle_backends=["native", "planted:"],
+            solver_timeout=1.0,
+            shrink=False,
+        )
+
+    def test_identical_fuzz_jobs_merge_to_the_counts_of_one(self):
+        report = BatchRunner(RunnerConfig(workers=0, dedup=True)).run(
+            [self.fuzz_job("f0"), self.fuzz_job("f1")]
+        )
+        assert report.jobs_executed == 1 and report.jobs_coalesced == 1
+        executed, replayed = report.results
+        assert replayed.payload["deduped_from"] == "f0"
+        one = merge_fuzz([executed])
+        both = merge_fuzz(report.results)
+        assert one["disagreements"] > 0
+        assert (one.pop("jobs"), both.pop("jobs")) == (1, 2)
+        # The replayed shard performed no checks of its own: campaign
+        # counts, verdicts and the Soundness alarm match the single
+        # execution exactly.
+        assert both == one
