@@ -57,7 +57,7 @@ from repro.solver.backends import make_backend
 from repro.solver.backends.base import BackendError, SolverBackend
 from repro.solver.backends.native import NativeBackend
 from repro.solver.backends.registry import (
-    _split_rest,
+    parse_spec_options,
     register_backend,
     registered_backends,
 )
@@ -383,18 +383,9 @@ def _string_consts(obj) -> List[str]:
 
 
 def _planted_factory(rest, *, timeout=None, stats=None, **_extras):
-    body, options = _split_rest(rest)
-    if body:
-        raise BackendError(
-            f"planted backend takes no argument (got {body!r})"
-        )
-    unknown = set(options) - {"trigger", "timeout"}
-    if unknown:
-        raise BackendError(
-            f"planted backend does not accept option(s) {sorted(unknown)}"
-        )
-    if timeout is not None:
-        options.setdefault("timeout", timeout)
+    _, options = parse_spec_options(
+        "planted", rest, {"trigger", "timeout"}, timeout=timeout
+    )
     return PlantedBackend(stats=stats, **options)
 
 

@@ -51,17 +51,11 @@ def to_smtlib(
     body = _formula(formula, guarded)
     if not declare:
         return body
-    variables = sorted(_variables(formula), key=lambda v: v.name)
-    lines: List[str] = []
-    if get_values:
-        lines.append("(set-option :produce-models true)")
-    lines.append("(set-logic QF_S)")
-    symbols: List[str] = []
-    for var in variables:
-        symbols.append(_symbol(var.name))
-        symbols.append(_symbol(var.name + ".def"))
-        lines.append(f"(declare-const {_symbol(var.name)} String)")
-        lines.append(f"(declare-const {_symbol(var.name + '.def')} Bool)")
+    declarations = _declarations(formula)
+    symbols = [symbol for symbol, _ in declarations]
+    lines = [smtlib_prelude(get_values)]
+    for symbol, sort in declarations:
+        lines.append(f"(declare-const {symbol} {sort})")
     lines.append(f"(assert {body})")
     lines.append("(check-sat)")
     if get_values and symbols:
@@ -110,16 +104,13 @@ def to_smtlib_incremental(
     outside the classical fragment, *before* mutating ``declared``.
     """
     body = _formula(formula, guarded)
-    variables = sorted(_variables(formula), key=lambda v: v.name)
+    declarations = _declarations(formula)
+    symbols = [symbol for symbol, _ in declarations]
     lines: List[str] = []
-    symbols: List[str] = []
-    for var in variables:
-        for name, sort in ((var.name, "String"), (var.name + ".def", "Bool")):
-            symbol = _symbol(name)
-            symbols.append(symbol)
-            if symbol not in declared:
-                declared.add(symbol)
-                lines.append(f"(declare-const {symbol} {sort})")
+    for symbol, sort in declarations:
+        if symbol not in declared:
+            declared.add(symbol)
+            lines.append(f"(declare-const {symbol} {sort})")
     lines.append("(push 1)")
     lines.append(f"(assert {body})")
     lines.append("(check-sat)")
@@ -134,11 +125,17 @@ def smtlib_query_symbols(formula: Formula) -> List[str]:
     """The declared symbols of ``formula``'s query, in rendering order
     (each variable's String symbol followed by its ``.def`` guard) —
     what a ``(get-value ...)`` for this query should ask for."""
-    symbols: List[str] = []
-    for var in sorted(_variables(formula), key=lambda v: v.name):
-        symbols.append(_symbol(var.name))
-        symbols.append(_symbol(var.name + ".def"))
-    return symbols
+    return [symbol for symbol, _ in _declarations(formula)]
+
+
+def _declarations(formula: Formula) -> List[Tuple[str, str]]:
+    """``(symbol, sort)`` for each symbol of ``formula``'s query: one
+    header for the one-shot script and the incremental delta alike."""
+    return [
+        (_symbol(name), sort)
+        for var in sorted(_variables(formula), key=lambda v: v.name)
+        for name, sort in ((var.name, "String"), (var.name + ".def", "Bool"))
+    ]
 
 
 def _formula(formula: Formula, guarded: bool = False) -> str:

@@ -8,7 +8,11 @@ breaker, queries short-circuit to the native fallback for a cool-down
 window, then a single *half-open* probe re-admits the binary if it
 answers.
 
-Split API, matching how the backends consume it:
+The session transport of the one external-solver backend
+(``repro.solver.backends.smtlib``) *feeds* the breaker named after its
+spec (``session:<command>``): a crash or failed spawn records a
+failure, a completed round trip a success.  The pooled form of the
+same backend *gates* on it.  Split API, matching that use:
 
 - :meth:`allow` **consumes**: it admits the half-open probe (at most
   one outstanding) and counts a short-circuit when it refuses.  Only

@@ -27,6 +27,15 @@ solver.  This package makes the choice a first-class, *pluggable* API:
 
 - :func:`register_backend` — add new schemes at runtime.
 
+``smtlib:`` and ``session:`` are one external-solver backend
+(:mod:`repro.solver.backends.smtlib`): one base class holds the command,
+the availability probe, the per-solver flag table and the verdict tail
+(UNSAT trusted, SAT models re-validated natively), and the one-shot and
+incremental-session transports differ only in how a query reaches the
+process.  The pooled form leases sessions from :class:`SessionPool`
+behind a per-command circuit breaker.  Every option-taking scheme reads
+its ``?key=value`` options through one parser in the registry.
+
 Soundness across backends follows the layering argument of Algorithm 1:
 any backend may answer UNKNOWN, but SAT must come with a model that
 validates and UNSAT must be definitive, so definitive answers from *any*
@@ -45,7 +54,6 @@ from repro.solver.backends.cached import (
 )
 from repro.solver.backends.native import NativeBackend
 from repro.solver.backends.pool import (
-    PooledSessionBackend,
     SessionPool,
     get_session_pool,
     reset_session_pool,
@@ -58,8 +66,11 @@ from repro.solver.backends.registry import (
     registered_backends,
 )
 from repro.solver.backends.router import RouterBackend, classify_formula
-from repro.solver.backends.session import SessionBackend
-from repro.solver.backends.smtlib import SmtLibBackend
+from repro.solver.backends.smtlib import (
+    PooledSessionBackend,
+    SessionBackend,
+    SmtLibBackend,
+)
 
 __all__ = [
     "BackendDisagreement",

@@ -1,6 +1,6 @@
 """Process-wide pool of live incremental solver sessions.
 
-The ``session:`` backend (PR 4) amortizes subprocess spawns *within*
+A private ``session:`` backend amortizes subprocess spawns *within*
 one backend instance — which in the batch service means within one job:
 every job builds its own backend stack, so a batch of single-query
 solve jobs still spawns one solver process per job, and the CEGAR
@@ -8,7 +8,7 @@ loop's refined-query stream re-pays the spawn whenever a fresh backend
 is constructed.  This module moves session ownership up to the process:
 
 - :class:`SessionPool` keeps a small number of live
-  :class:`~repro.solver.backends.session.SessionBackend` processes per
+  :class:`~repro.solver.backends.smtlib.SessionBackend` processes per
   distinct ``(command, timeout, reset_every)`` key.  ``checkout`` hands
   a caller *exclusive* use of one session (spawning lazily up to
   ``max_per_key``); concurrent callers on other threads either receive
@@ -18,12 +18,12 @@ is constructed.  This module moves session ownership up to the process:
   longer than ``wait_timeout`` gets a private *overflow* session
   (closed on release) rather than an error: the pool bounds residency,
   not progress.
-- :class:`PooledSessionBackend` is the drop-in ``session:`` backend
-  over the pool: per query it checks a session out, solves, and returns
-  it.  All session semantics (incremental deltas, guarded encoding,
-  native SAT re-validation, restart-once-per-query) are exactly those
-  of the leased :class:`SessionBackend` — the pool only changes who
-  owns the process and for how long.
+- :class:`~repro.solver.backends.smtlib.PooledSessionBackend`, the
+  default ``session:`` backend, leases from the pool: per query it
+  checks a session out, solves, and returns it.  All session semantics
+  (incremental deltas, guarded encoding, native SAT re-validation,
+  restart-once-per-query) are exactly those of the leased session — the
+  pool only changes who owns the process and for how long.
 
 While leased, the session's lifecycle events (spawns, restarts, resets,
 queries, lifetime) are recorded into the *caller's*
@@ -43,19 +43,13 @@ from __future__ import annotations
 import atexit
 import threading
 from time import monotonic
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.constraints.formulas import Formula
-from repro.faults.breaker import get_breaker
-from repro.solver.core import SolverResult, UNKNOWN
 from repro.solver.stats import SolverStats
 
-from repro.solver.backends.base import SolverBackend
-from repro.solver.backends.session import (
-    SessionBackend,
-    probe_solver_command,
-)
+if TYPE_CHECKING:
+    from repro.solver.backends.smtlib import SessionBackend
 
 _PoolKey = Tuple[str, float, int]
 
@@ -148,6 +142,10 @@ class SessionPool:
             if not overflow:
                 self._leased[key] = self._leased.get(key, 0) + 1
         if session is None:
+            # Imported here: the session transport leases from this
+            # module, which must load first.
+            from repro.solver.backends.smtlib import SessionBackend
+
             session = SessionBackend(
                 command, timeout=timeout, reset_every=reset_every
             )
@@ -332,83 +330,3 @@ def reset_session_pool() -> None:
         pool, _GLOBAL_POOL = _GLOBAL_POOL, None
     if pool is not None:
         pool.close()
-
-
-class PooledSessionBackend(SolverBackend):
-    """``session:<command>`` over the shared pool (the default form).
-
-    Mirrors the :class:`SessionBackend` surface (``command`` /
-    ``timeout`` / ``reset_every`` / ``available`` / ``last_error``) but
-    owns no process: each query leases one from the pool, so a worker's
-    jobs — and the CEGAR loop's refined queries across backend
-    instances — amortize the same spawns.  ``close()`` is a no-op by
-    design: the pool outlives any one backend, which is the point.
-    """
-
-    def __init__(
-        self,
-        command: str = "z3",
-        *,
-        timeout: float = 5.0,
-        reset_every: int = 512,
-        stats: Optional[SolverStats] = None,
-        pool: Optional[SessionPool] = None,
-    ):
-        super().__init__(stats)
-        self.command = command or "z3"
-        self.timeout = timeout
-        self.reset_every = max(1, int(reset_every))
-        self.name = f"session:{self.command}"
-        self._pool = pool
-        self._available: Optional[bool] = None
-        self.last_error: Optional[str] = None
-        #: Per-command circuit breaker (process-global, shared with the
-        #: raw sessions that feed it).  This is the *gate*: while open,
-        #: queries short-circuit to UNKNOWN without touching the pool,
-        #: and the router's fallback answers natively instead.
-        self.breaker = get_breaker(self.name)
-
-    @property
-    def pool(self) -> SessionPool:
-        return self._pool if self._pool is not None else get_session_pool()
-
-    @property
-    def available(self) -> bool:
-        """Whether the solver binary resolves on PATH (probed once)."""
-        if self._available is None:
-            self._available = probe_solver_command(self.command) is None
-        return self._available
-
-    @property
-    def circuit_open(self) -> bool:
-        """Non-consuming breaker peek (the router's divert signal)."""
-        return self.breaker.peek_open()
-
-    def solve(self, formula: Formula) -> SolverResult:
-        if not self.available:
-            # Match SessionBackend: no process is ever touched, so no
-            # checkout either — the pool stays empty on binary-less
-            # machines and the router's native fallback takes over.
-            self.last_error = probe_solver_command(self.command)
-            return SolverResult(UNKNOWN)
-        on_event = (
-            self.stats.record_breaker if self.stats is not None else None
-        )
-        if not self.breaker.allow(on_event):
-            # Open breaker (and no probe slot): the command has been
-            # failing repeatedly — short-circuit to UNKNOWN for the
-            # cool-down window instead of paying spawn-and-fail again.
-            self.last_error = f"circuit open for {self.command!r}"
-            return SolverResult(UNKNOWN)
-        with self.pool.checkout(
-            self.command,
-            timeout=self.timeout,
-            reset_every=self.reset_every,
-            stats=self.stats,
-        ) as session:
-            result = session.solve(formula)
-            self.last_error = session.last_error
-        return result
-
-    def close(self) -> None:
-        """No-op: pooled sessions outlive the backend (see class doc)."""

@@ -33,21 +33,24 @@ then persists definitive answers on disk across invocations;
 
 from __future__ import annotations
 
+import math
 import re
-import shutil
 import warnings
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from repro.solver.stats import SolverStats
 
 from repro.solver.backends.base import BackendError
 from repro.solver.backends.cached import CachedBackend, QueryCache
 from repro.solver.backends.native import NativeBackend
-from repro.solver.backends.pool import PooledSessionBackend
 from repro.solver.backends.portfolio import PortfolioBackend
 from repro.solver.backends.router import RouterBackend
-from repro.solver.backends.session import SessionBackend
-from repro.solver.backends.smtlib import SmtLibBackend
+from repro.solver.backends.smtlib import (
+    PooledSessionBackend,
+    SessionBackend,
+    SmtLibBackend,
+    probe_solver_command,
+)
 
 #: A scheme factory: (rest-of-spec, default timeout, stats sink,
 #: query-cache dir) → backend.
@@ -154,15 +157,32 @@ def _accepts_keyword(factory: BackendFactory, keyword: str) -> bool:
 # -- spec-string helpers ------------------------------------------------------
 
 
-def _split_rest(rest: str) -> Tuple[str, Dict[str, object]]:
-    """Split ``":body?k=v&..."`` into (body, options)."""
+def parse_spec_options(
+    scheme: str,
+    rest: str,
+    allowed: Optional[Collection[str]],
+    *,
+    timeout: Optional[float] = None,
+    default_argument: Optional[str] = None,
+) -> Tuple[str, Dict[str, object]]:
+    """The one option prologue of every option-taking scheme.
+
+    Splits ``":argument?k=v&..."`` into ``(argument, options)``.  With
+    ``default_argument=None`` the scheme takes no argument; otherwise an
+    empty one becomes ``default_argument``.  Options outside ``allowed``
+    are rejected (``None`` leaves that to the backend's constructor).
+    Every spec-expressible option is a finite, non-negative number, so
+    a ``?timeout=abc`` or ``?timeout=nan`` typo fails here at
+    spec-resolution time instead of deep inside a solve call.  The
+    default ``timeout`` fills in when the spec sets none.
+    """
     if rest.startswith(":"):
         rest = rest[1:]
-    body, _, query = rest.partition("?")
-    return body, _parse_options(query)
-
-
-def _parse_options(query: str) -> Dict[str, object]:
+    argument, _, query = rest.partition("?")
+    if default_argument is None and argument:
+        raise BackendError(
+            f"{scheme} backend takes no argument (got {argument!r})"
+        )
     options: Dict[str, object] = {}
     for item in query.split("&") if query else ():
         key, sep, value = item.partition("=")
@@ -171,7 +191,24 @@ def _parse_options(query: str) -> Dict[str, object]:
                 f"malformed backend option {item!r} (expected key=value)"
             )
         options[key] = _coerce(value)
-    return options
+    unknown = set() if allowed is None else set(options) - set(allowed)
+    if unknown:
+        raise BackendError(
+            f"{scheme} backend does not accept option(s) {sorted(unknown)}"
+        )
+    for key, value in options.items():
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not 0 <= value < math.inf  # also rejects nan
+        ):
+            raise BackendError(
+                f"{scheme} option {key!r} expects a number >= 0, "
+                f"got {value!r}"
+            )
+    if timeout is not None:
+        options.setdefault("timeout", timeout)
+    return argument or default_argument or "", options
 
 
 def _coerce(value: str) -> object:
@@ -187,67 +224,45 @@ def _coerce(value: str) -> object:
         return value
 
 
-def _require_numeric_options(scheme: str, options: Dict[str, object]) -> None:
-    """All spec-expressible solver options are numbers; catch a
-    ``?timeout=abc`` typo at spec-resolution time instead of letting it
-    crash deep inside a solve call."""
-    for key, value in options.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise BackendError(
-                f"{scheme} option {key!r} expects a number, got {value!r}"
-            )
-
-
 # -- built-in schemes ---------------------------------------------------------
 
 
 def _native_factory(rest, *, timeout=None, stats=None, query_cache=None):
-    body, options = _split_rest(rest)
-    if body:
-        raise BackendError(
-            f"native backend takes no argument (got {body!r})"
-        )
-    _require_numeric_options("native", options)
-    if timeout is not None:
-        options.setdefault("timeout", timeout)
+    _, options = parse_spec_options("native", rest, None, timeout=timeout)
     return NativeBackend(stats=stats, **options)
 
 
 def _smtlib_factory(rest, *, timeout=None, stats=None, query_cache=None):
-    command, options = _split_rest(rest)
-    unknown = set(options) - {"timeout"}
-    if unknown:
-        raise BackendError(
-            f"smtlib backend does not accept option(s) {sorted(unknown)}"
-        )
-    _require_numeric_options("smtlib", options)
-    if timeout is not None:
-        options.setdefault("timeout", timeout)
-    return SmtLibBackend(command or "z3", stats=stats, **options)
+    command, options = parse_spec_options(
+        "smtlib", rest, {"timeout"}, timeout=timeout, default_argument="z3"
+    )
+    return SmtLibBackend(command, stats=stats, **options)
 
 
 def _session_factory(rest, *, timeout=None, stats=None, query_cache=None):
-    command, options = _split_rest(rest)
-    unknown = set(options) - {"timeout", "reset_every", "pooled"}
-    if unknown:
-        raise BackendError(
-            f"session backend does not accept option(s) {sorted(unknown)}"
-        )
-    _require_numeric_options("session", options)
-    if timeout is not None:
-        options.setdefault("timeout", timeout)
+    command, options = parse_spec_options(
+        "session",
+        rest,
+        {"timeout", "reset_every", "pooled"},
+        timeout=timeout,
+        default_argument="z3",
+    )
     # Pooled by default: sessions are leased from the process-wide
     # SessionPool, so spawns amortize across jobs and backend
     # instances.  ``?pooled=0`` restores a private per-backend process
     # (benchmarks use it as the spawn-per-job baseline).
     if options.pop("pooled", 1):
-        return PooledSessionBackend(command or "z3", stats=stats, **options)
-    return SessionBackend(command or "z3", stats=stats, **options)
+        return PooledSessionBackend(command, stats=stats, **options)
+    return SessionBackend(command, stats=stats, **options)
 
 
 def detect_solver_binaries() -> List[str]:
     """The known SMT string-solver binaries resolvable on PATH."""
-    return [name for name in ("z3", "cvc5", "cvc4") if shutil.which(name)]
+    return [
+        name
+        for name in ("z3", "cvc5", "cvc4")
+        if probe_solver_command(name) is None
+    ]
 
 
 def _portfolio_factory(
@@ -303,16 +318,13 @@ def _route_factory(
     rest, *, timeout=None, stats=None, query_cache=None,
     on_disagreement=None, disagreement_sink=None,
 ):
-    command, options = _split_rest(rest)
-    unknown = set(options) - {"timeout", "reset_every"}
-    if unknown:
-        raise BackendError(
-            f"route backend does not accept option(s) {sorted(unknown)}"
-        )
-    _require_numeric_options("route", options)
-    if timeout is not None:
-        options.setdefault("timeout", timeout)
-    command = command or "z3"
+    command, options = parse_spec_options(
+        "route",
+        rest,
+        {"timeout", "reset_every"},
+        timeout=timeout,
+        default_argument="z3",
+    )
     session_options = dict(options)
     native_timeout = options.get("timeout")
     native_options = (

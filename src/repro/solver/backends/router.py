@@ -193,17 +193,7 @@ class RouterBackend(SolverBackend):
         """Pick ``(feature, target_name, backend)`` for one formula."""
         feature = classify_formula(formula)
         if feature == CLASSICAL:
-            if getattr(self.session, "circuit_open", False):
-                # The command's circuit breaker is open: its binary has
-                # been failing repeatedly, so classical queries divert
-                # to native for the cool-down window (the breaker's own
-                # half-open probe re-admits the session).
-                return feature, "native-breaker", self.native
-            if getattr(self.session, "available", True):
-                return feature, "session", self.session
-            # No solver binary: classical queries still deserve a
-            # definitive answer, which only native can give here.
-            return feature, "native", self.native
+            return self._classical_target(feature)
         if feature == MIXED:
             return feature, "portfolio", self.portfolio
         # captures and unroutable formulas both belong to native.
@@ -236,10 +226,21 @@ class RouterBackend(SolverBackend):
             return feature, "portfolio", self.portfolio
         # Classical, or captures-only (printable): the session decides
         # the refined stream without a per-query subprocess spawn.
+        return self._classical_target(feature)
+
+    def _classical_target(self, feature: str):
+        """``(feature, target_name, backend)`` for classical material:
+        the session, unless it cannot answer right now."""
         if getattr(self.session, "circuit_open", False):
+            # The command's circuit breaker is open: its binary has
+            # been failing repeatedly, so classical queries divert to
+            # native for the cool-down window (the breaker's own
+            # half-open probe re-admits the session).
             return feature, "native-breaker", self.native
         if getattr(self.session, "available", True):
             return feature, "session", self.session
+        # No solver binary: classical queries still deserve a
+        # definitive answer, which only native can give here.
         return feature, "native", self.native
 
     def solve(self, formula: Formula) -> SolverResult:

@@ -110,6 +110,26 @@ class TestRegistry:
         with pytest.raises(BackendError):
             make_backend(object())
 
+    def test_non_finite_and_negative_option_values_fail_at_spec_time(
+        self, capsys
+    ):
+        for spec in (
+            "smtlib:z3?timeout=nan",
+            "smtlib:z3?timeout=inf",
+            "session:z3?timeout=-1",
+            "session:z3?pooled=0&reset_every=-inf",
+            "route:z3?timeout=nan",
+            "native?timeout=inf",
+        ):
+            with pytest.raises(BackendError, match="expects a number"):
+                make_backend(spec)
+        from repro.__main__ import main
+
+        assert main(
+            ["solve", "(a+)b", "--backend", "smtlib:z3?timeout=nan"]
+        ) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_nested_specs_compose(self):
         backend = make_backend("cached:portfolio:native+smtlib:cvc5")
         assert backend.name == "cached:portfolio:native+smtlib:cvc5"

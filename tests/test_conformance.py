@@ -27,8 +27,10 @@ from repro.conformance import (
 )
 from repro.conformance.oracle import MATCH, NOMATCH, UNDECIDED
 from repro.regex.matcher import RegExp
+from repro.solver.backends import make_backend
 from repro.solver.backends.base import (
     BackendDisagreement,
+    BackendError,
     SolverBackend,
 )
 from repro.solver.core import SAT, UNKNOWN, UNSAT, SolverResult
@@ -152,6 +154,18 @@ class TestOracle:
         # No trigger character: the planted backend behaves honestly.
         clean = oracle.check("a", "", "a")
         assert clean.disagreement is None
+
+    def test_planted_spec_typos_fail_at_spec_time(self):
+        register_planted_backend()
+        for spec in (
+            "planted:?timeout=abc",
+            "planted:?trigger=abc",
+            "planted:?timeout=nan",
+            "planted:?frobnicate=1",
+        ):
+            with pytest.raises(BackendError):
+                make_backend(spec)
+        assert make_backend("planted:?trigger=120").trigger == "x"
 
     def test_unknown_is_tolerated(self):
         oracle = DifferentialOracle(

@@ -7,6 +7,8 @@ everything else must degrade to UNKNOWN — never crash, never lie.
 
 import os
 import stat
+import sys
+import textwrap
 
 import pytest
 
@@ -203,3 +205,75 @@ class TestSubprocessBackend:
         backend.solve(membership("a"))
         name = f"smtlib:{cmd}"
         assert stats.backend_tallies[name].unsat == 1
+
+
+#: A stand-in for a real solver binary: logs its argv, then answers
+#: ``unsat`` — once for a one-shot script file, or per ``(check-sat)``
+#: (echoing the sync markers) when started as an incremental session.
+_ARGV_LOGGER = textwrap.dedent(
+    """\
+    #!{python}
+    import re, sys
+    with open({log!r}, "a") as log:
+        log.write(" ".join(sys.argv[1:]) + "\\n")
+    if "-in" not in sys.argv and "--incremental" not in sys.argv:
+        print("unsat")
+        sys.exit(0)
+    for line in sys.stdin:
+        line = line.strip()
+        if line == "(check-sat)":
+            print("unsat", flush=True)
+        echo = re.match(r'\\(echo "(.*)"\\)', line)
+        if echo:
+            print(echo.group(1), flush=True)
+    """
+)
+
+
+class TestSolverArgv:
+    def test_known_solvers_get_their_flags_per_transport(
+        self, tmp_path, monkeypatch
+    ):
+        """z3 and cvc5 on PATH receive the one-shot and the session
+        flags of their own command-line dialect."""
+        bindir = tmp_path / "bin"
+        bindir.mkdir()
+        for name in ("z3", "cvc5"):
+            path = bindir / name
+            path.write_text(
+                _ARGV_LOGGER.format(
+                    python=sys.executable, log=str(tmp_path / f"{name}.log")
+                )
+            )
+            path.chmod(path.stat().st_mode | stat.S_IXUSR)
+        monkeypatch.setenv(
+            "PATH", f"{bindir}{os.pathsep}{os.environ.get('PATH', '')}"
+        )
+        for name in ("z3", "cvc5"):
+            for spec in (
+                f"smtlib:{name}?timeout=2.5",
+                f"session:{name}?pooled=0&timeout=2.5",
+            ):
+                backend = make_backend(spec)
+                assert backend.solve(membership("a+b")).status == UNSAT
+                getattr(backend, "close", lambda: None)()
+        argvs = {
+            name: [
+                line.split()
+                for line in (tmp_path / f"{name}.log").read_text().splitlines()
+            ]
+            for name in ("z3", "cvc5")
+        }
+        (z3_one_shot, z3_session) = argvs["z3"]
+        (cvc5_one_shot, cvc5_session) = argvs["cvc5"]
+        assert z3_one_shot[:-1] == ["-smt2", "-T:3"]
+        assert z3_one_shot[-1].endswith(".smt2")
+        assert z3_session == ["-smt2", "-in", "-t:2500"]
+        assert cvc5_one_shot[:-1] == [
+            "--lang", "smt2", "--strings-exp", "--tlimit=2500",
+        ]
+        assert cvc5_one_shot[-1].endswith(".smt2")
+        assert cvc5_session == [
+            "--lang", "smt2", "--strings-exp", "--incremental",
+            "--tlimit-per=2500",
+        ]
