@@ -13,10 +13,14 @@ from repro.automata.cache import (
     DfaDiskStore,
     node_fingerprint,
 )
-from repro.automata.dfa import Dfa, determinize
+from repro.automata.dfa import Dfa, determinize, finite_dfa, universal_dfa
 from repro.automata.lazy import (
+    ConcatWitness,
+    ExplorationBudgetExceeded,
+    LazyConcatProduct,
     LazyProduct,
     LazyUnion,
+    finite_words,
     lazy_intersect_all,
     lazy_union_all,
 )
@@ -36,8 +40,11 @@ from repro.automata.visualize import to_dot
 
 __all__ = [
     "AutomataInterner",
+    "ConcatWitness",
     "Dfa",
     "DfaDiskStore",
+    "ExplorationBudgetExceeded",
+    "LazyConcatProduct",
     "LazyProduct",
     "LazyUnion",
     "Nfa",
@@ -50,6 +57,8 @@ __all__ = [
     "dfa_for",
     "dfa_for_pattern",
     "erase_captures",
+    "finite_dfa",
+    "finite_words",
     "intersect_all",
     "lazy_intersect_all",
     "lazy_union_all",
@@ -58,4 +67,5 @@ __all__ = [
     "node_fingerprint",
     "to_dot",
     "to_nfa",
+    "universal_dfa",
 ]

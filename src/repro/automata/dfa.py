@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.regex.charclass import CharSet, partition
 from repro.automata.nfa import Nfa
@@ -348,6 +348,49 @@ def _merge_labels(
     for label, target in edges:
         by_target[target] = by_target.get(target, CharSet.empty()).union(label)
     return [(label, target) for target, label in sorted(by_target.items())]
+
+
+def finite_dfa(words: Iterable[str]) -> Dfa:
+    """The complete DFA accepting exactly ``words``: a trie of the words
+    plus one absorbing dead state (built in sorted order, so equal sets
+    give identical automata)."""
+    children: List[Dict[str, int]] = [{}]
+    accepts = set()
+    for word in sorted(set(words)):
+        node = 0
+        for ch in word:
+            child = children[node].get(ch)
+            if child is None:
+                child = len(children)
+                children.append({})
+                children[node][ch] = child
+            node = child
+        accepts.add(node)
+    dead = len(children)
+    transitions: Dict[int, List[Tuple[CharSet, int]]] = {}
+    for node, edges in enumerate(children):
+        row = [(CharSet.of(ch), child) for ch, child in edges.items()]
+        rest = CharSet.of("".join(edges)).complement()
+        if not rest.is_empty():
+            row.append((rest, dead))
+        transitions[node] = row
+    transitions[dead] = [(CharSet.any(), dead)]
+    return Dfa(
+        n_states=dead + 1,
+        start=0,
+        accepts=frozenset(accepts),
+        transitions=transitions,
+    )
+
+
+def universal_dfa() -> Dfa:
+    """The one-state complete DFA accepting every word (Σ*)."""
+    return Dfa(
+        n_states=1,
+        start=0,
+        accepts=frozenset({0}),
+        transitions={0: [(CharSet.any(), 0)]},
+    )
 
 
 def determinize(nfa: Nfa) -> Dfa:

@@ -49,11 +49,22 @@ The classes mirror the :class:`~repro.automata.dfa.Dfa` query surface
 the solver relies on (``accepts_word`` / ``is_empty`` /
 ``shortest_word`` / ``words``), so :func:`lazy_intersect_all` and
 :func:`lazy_union_all` are drop-ins on that surface.
+
+:class:`LazyConcatProduct` answers the model's own shape — a target
+language intersected with one or more *concatenations* of part
+languages (``x ∈ L(r) ∧ x = s1 ++ … ++ sn ∧ si ∈ L(ri)``) — by one
+bounded BFS over the same component adapters: emptiness refutes the
+shape, and the shortest accepted path yields the word together with
+every split point.  :func:`finite_words` enumerates a small finite
+language exactly (every character of every label), which is what lets
+a candidate list count as complete.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import metrics as _metrics
@@ -127,6 +138,33 @@ def _part(component) -> object:
     if isinstance(component, _LazySpace):
         return _SpacePart(component)
     return _DfaPart(component)
+
+
+def _joint_moves(
+    components, live_only: bool = False
+) -> List[Tuple[CharSet, _State]]:
+    """One character moving every (part, state) pair at once.
+
+    Labels are refined left to right against the running overlap, so a
+    character class that already vanished against the first components
+    never multiplies against the rest.  With ``live_only``, successors
+    a part reports dead are dropped as they appear; otherwise the labels
+    partition the universe.
+    """
+    moves: List[Tuple[CharSet, _State]] = [(CharSet.any(), ())]
+    for part, state in components:
+        refined: List[Tuple[CharSet, _State]] = []
+        for label, targets in moves:
+            for c_label, c_target in part.edges(state):
+                if live_only and not part.live(c_target):
+                    continue
+                overlap = label.intersect(c_label)
+                if not overlap.is_empty():
+                    refined.append((overlap, targets + (c_target,)))
+        if not refined:
+            return []
+        moves = refined
+    return moves
 
 
 class _LazySpace:
@@ -224,28 +262,17 @@ class _LazySpace:
     def edges_from(self, state: _State) -> List[Tuple[CharSet, _State]]:
         """Outgoing product edges; labels partition the universe.
 
-        Labels are refined left to right against the running overlap, so
-        a character class that already vanished against the first
-        components never multiplies against the rest.  Edges to a common
-        target are merged, and the result is memoized per state in the
-        bounded LRU — this *is* the on-demand materialization: a state's
+        Labels come from :func:`_joint_moves`.  Edges to a common target
+        are merged, and the result is memoized per state in the bounded
+        LRU — this *is* the on-demand materialization: a state's
         transition row exists exactly while it is hot.
         """
         cached = self._edges.get(state)
         if cached is not None:
             self._edges.move_to_end(state)
             return cached
-        parts: List[Tuple[CharSet, _State]] = [(CharSet.any(), ())]
-        for part, s in zip(self._parts, state):
-            refined: List[Tuple[CharSet, _State]] = []
-            for label, targets in parts:
-                for c_label, c_target in part.edges(s):
-                    overlap = label.intersect(c_label)
-                    if not overlap.is_empty():
-                        refined.append((overlap, targets + (c_target,)))
-            parts = refined
         by_target: Dict[_State, CharSet] = {}
-        for label, target in parts:
+        for label, target in _joint_moves(zip(self._parts, state)):
             existing = by_target.get(target)
             by_target[target] = (
                 label if existing is None else existing.union(label)
@@ -540,3 +567,224 @@ def lazy_union_all(components: Sequence):
     if len(components) == 1:
         return components[0]
     return LazyUnion(components)
+
+
+class ExplorationBudgetExceeded(Exception):
+    """A bounded traversal visited its state budget before deciding."""
+
+
+@dataclass(frozen=True)
+class ConcatWitness:
+    """A shortest word of a :class:`LazyConcatProduct`, already split.
+
+    ``segments[k]`` is ``word`` cut into the parts of concatenation
+    ``k``, in order: ``"".join(segments[k]) == word`` for every ``k``.
+    """
+
+    word: str
+    segments: Tuple[Tuple[str, ...], ...]
+
+
+class LazyConcatProduct:
+    """``L(target) ∩ L(P11)·…·L(P1n) ∩ L(P21)·…·L(P2m) ∩ …``, on the fly.
+
+    A state is the target's state plus, for every concatenation, the
+    pair (index of the part being read, that part's state).  A character
+    advances every component at once; an ε-move at a part boundary
+    (the current part accepts) starts the next part of one
+    concatenation.  A state accepts when the target accepts and every
+    concatenation is inside its last part, which accepts.
+
+    Components may be :class:`Dfa`\\ s or lazy spaces, as for
+    :class:`LazyProduct`.  Every non-live component state is pruned, and
+    a part whose language is empty empties its concatenation up front.
+    """
+
+    kind = "concat"
+
+    def __init__(self, target, concats: Sequence[Sequence]):
+        if not concats or not all(concats):
+            raise ValueError(
+                "LazyConcatProduct needs non-empty concatenations"
+            )
+        self._target = _part(target)
+        self._concats = [[_part(p) for p in parts] for parts in concats]
+        #: Product states discovered by the last :meth:`shortest_witness`.
+        self.states_visited = 0
+
+    def _accepting(self, state) -> bool:
+        target_state, positions = state
+        return self._target.accepting(target_state) and all(
+            index == len(parts) - 1 and parts[index].accepting(part_state)
+            for parts, (index, part_state) in zip(self._concats, positions)
+        )
+
+    def _boundary_moves(self, state) -> Iterator[Tuple[int, object]]:
+        """ε-successors: one concatenation moves on to its next part."""
+        target_state, positions = state
+        for k, (index, part_state) in enumerate(positions):
+            parts = self._concats[k]
+            if index + 1 < len(parts) and parts[index].accepting(part_state):
+                moved = list(positions)
+                moved[k] = (index + 1, parts[index + 1].start)
+                yield k, (target_state, tuple(moved))
+
+    def _steps(self, state) -> List[Tuple[CharSet, object]]:
+        """Live one-character successors of a product state."""
+        target_state, positions = state
+        components = [(self._target, target_state)] + [
+            (self._concats[k][index], part_state)
+            for k, (index, part_state) in enumerate(positions)
+        ]
+        successors = []
+        for label, targets in _joint_moves(components, live_only=True):
+            moved = tuple(
+                (index, part_state)
+                for (index, _), part_state in zip(positions, targets[1:])
+            )
+            successors.append((label, (targets[0], moved)))
+        return successors
+
+    def shortest_witness(
+        self, max_states: Optional[int] = None
+    ) -> Optional[ConcatWitness]:
+        """A shortest accepted word with its splits, ``None`` when empty.
+
+        Layered BFS: each layer holds the states reachable with one more
+        character, closed under ε-moves, so the first accepting state
+        found ends a shortest path.  Raises
+        :class:`ExplorationBudgetExceeded` once more than ``max_states``
+        states have been discovered without a decision.
+        """
+        parts = [self._target] + [p for ps in self._concats for p in ps]
+        if not all(p.live(p.start) for p in parts):
+            self.states_visited = 0
+            return None
+        start = (
+            self._target.start,
+            tuple((0, ps[0].start) for ps in self._concats),
+        )
+        #: state → (previous state, label of a character move or None,
+        #: concatenation index of an ε-move or None).
+        parents: Dict[object, Optional[Tuple[object, object, object]]] = {
+            start: None
+        }
+
+        def discover(successor, entry) -> bool:
+            if successor in parents:
+                return False
+            parents[successor] = entry
+            if max_states is not None and len(parents) > max_states:
+                raise ExplorationBudgetExceeded()
+            return True
+
+        try:
+            frontier = [start]
+            while frontier:
+                cursor = 0
+                while cursor < len(frontier):
+                    state = frontier[cursor]
+                    cursor += 1
+                    if self._accepting(state):
+                        return self._witness(state, parents)
+                    for k, successor in self._boundary_moves(state):
+                        if discover(successor, (state, None, k)):
+                            frontier.append(successor)
+                next_frontier = []
+                for state in frontier:
+                    for label, successor in self._steps(state):
+                        if discover(successor, (state, label, None)):
+                            next_frontier.append(successor)
+                frontier = next_frontier
+            return None
+        finally:
+            self.states_visited = len(parents)
+            _metrics.count(
+                "lazy_states_visited_total", len(parents), kind=self.kind
+            )
+
+    def _witness(self, state, parents) -> ConcatWitness:
+        moves = []
+        while parents[state] is not None:
+            state, label, k = parents[state]
+            moves.append((label, k))
+        chars: List[str] = []
+        cuts: List[List[int]] = [[] for _ in self._concats]
+        for label, k in reversed(moves):
+            if label is None:
+                cuts[k].append(len(chars))
+            else:
+                chars.append(_witness_char(label))
+        word = "".join(chars)
+        segments = tuple(
+            tuple(
+                word[lo:hi]
+                for lo, hi in zip([0] + offsets, offsets + [len(word)])
+            )
+            for offsets in cuts
+        )
+        return ConcatWitness(word, segments)
+
+
+@lru_cache(maxsize=4096)
+def _witness_char(label: CharSet) -> str:
+    """The readable character a witness takes from ``label``."""
+    return label.sample_chars(1)[0]
+
+
+def finite_words(automaton, limit: int) -> Optional[List[str]]:
+    """Every word of ``automaton``'s language, when it has ≤ ``limit``.
+
+    ``None`` when the language is infinite (a cycle through live states)
+    or has more than ``limit`` words; otherwise the exact language in
+    (length, text) order.  Unlike :meth:`Dfa.words`, which samples a few
+    characters per label, this counts every character of every label,
+    so the result is a *complete* enumeration.
+    """
+    part = _part(automaton)
+    if isinstance(automaton, _LazySpace):
+        live = automaton.co_accessible
+    else:
+        live = automaton.live_states().__contains__
+    if not live(part.start):
+        return []
+    counts: Dict[object, int] = {}
+    on_path: Set[object] = set()
+
+    def count(state) -> Optional[int]:
+        """Words accepted from ``state``; ``None`` past the limit or on
+        a cycle."""
+        if state in counts:
+            return counts[state]
+        on_path.add(state)
+        total = 1 if part.accepting(state) else 0
+        for label, target in part.edges(state):
+            if not live(target):
+                continue
+            if target in on_path:
+                return None
+            below = count(target)
+            if below is None:
+                return None
+            total += label.size() * below
+            if total > limit:
+                return None
+        on_path.discard(state)
+        counts[state] = total
+        return total
+
+    if count(part.start) is None:
+        return None
+    words: List[str] = []
+
+    def emit(state, prefix: str) -> None:
+        if part.accepting(state):
+            words.append(prefix)
+        for label, target in part.edges(state):
+            if counts.get(target):
+                for cp in label.codepoints():
+                    emit(target, prefix + chr(cp))
+
+    emit(part.start, "")
+    words.sort(key=lambda w: (len(w), w))
+    return words

@@ -10,30 +10,46 @@ membership/non-membership.  This solver decides that fragment *bounded-ly*:
    and ⊥), concatenation equations as a definition DAG, and per-class
    automata obtained by intersecting all positive memberships with the
    complements of negative ones;
-3. candidate generation for *free* classes by length-ordered word
+3. per class with a concatenation definition or split: one lazy
+   concatenation product (``automata/lazy.py``) of the class's automaton
+   with every concatenation of part automata over it — the model's own
+   ``in = seg1 ++ … ++ segN ∧ segi ∈ L(ri) ∧ in ∈ L(r)`` shape.  An empty
+   product refutes the core before it spends any search budget; the
+   shortest witness (word plus every split point) seeds the candidates;
+4. candidate generation for *free* classes by length-ordered word
    enumeration from their automata, with iterative deepening, followed by
    full re-checking of every literal.
 
 Like any string solver on an undecidable theory (§5.3 cites Bjørner et
 al.), the search is bounded: ``UNKNOWN`` is a possible answer.  ``UNSAT``
 is reported only when every core is refuted *definitively* — structurally
-(conflicting constants, empty automata, ⊥-conflicts) or by a provably
-complete enumeration (every candidate list finite and fully covered).
-Budget exhaustion alone always yields ``UNKNOWN``, which keeps DSE's use
-of unsatisfiability sound.
+(conflicting constants, empty automata, ⊥-conflicts), by an empty
+concatenation product (a sound over-approximation: it drops repeated
+variables, constrained nested definitions and checks), or by a provably
+complete enumeration (every candidate list an exact listing of a finite
+language, fully covered).  Budget exhaustion alone always yields
+``UNKNOWN``, which keeps DSE's use of unsatisfiability sound.  ``SAT``
+always comes from a full model that re-checks every literal.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.automata import (
+    ConcatWitness,
+    ExplorationBudgetExceeded,
+    LazyConcatProduct,
     complement_dfa_for,
     dfa_for,
+    finite_dfa,
+    finite_words,
     lazy_intersect_all,
     lazy_union_all,
+    universal_dfa,
 )
 from repro.automata.build import erase_captures
 from repro.automata.dfa import Dfa
@@ -98,6 +114,8 @@ class _Class:
     #: Automata transferred from memberships on classes this one defines
     #: (quotient propagation); intersected into generation.
     extra_dfas: List[Dfa] = field(default_factory=list)
+    #: Values from concatenation-product witnesses; tried first.
+    seeds: List[str] = field(default_factory=list)
 
 
 class _Core:
@@ -109,7 +127,6 @@ class _Core:
         self.parent: Dict[StrVar, StrVar] = {}
         self.classes: Dict[StrVar, _Class] = {}
         self.checks: List[Formula] = []
-        self.neqs: List[Tuple[Term, Term]] = []
         #: Extra partitions of already-determined words: (target, parts).
         #: A second ``x = s1 ++ s2`` on a defined/constant ``x`` cannot be a
         #: definition; it is solved by *splitting* the value of ``x`` across
@@ -117,7 +134,9 @@ class _Core:
         #: coexist, and how CEGAR's word-pinning refinements propagate).
         self.splits: List[Tuple[StrVar, Tuple[Term, ...]]] = []
         #: Class rep → lazy/eager constraint automaton (or ``None``).
-        self._split_dfa_cache: Dict[StrVar, Optional[object]] = {}
+        self._automata: Dict[StrVar, Optional[object]] = {}
+        #: ``combo_budget`` units the concatenation products used up.
+        self._product_states = 0
 
     # -- union-find ----------------------------------------------------------
 
@@ -199,16 +218,10 @@ class _Core:
         elif len(rhs) == 1 and isinstance(rhs[0], StrVar):
             self._ingest_definition(rhs[0], lhs)
         else:
-            # Cheap infeasibility: constant material on one side longer
-            # than the other side can possibly be (e.g. '⟨' ++ x = "").
-            for a, b in ((lhs, rhs), (rhs, lhs)):
-                if all(isinstance(t, StrConst) for t in b):
-                    target_len = sum(len(t.value) for t in b)
-                    if _min_length(a) > target_len:
-                        raise _UnsatCore()
             # Word equation between two concatenations: bridge with a
             # fresh variable so one side *defines* it and the other side
-            # becomes a split of its value (instead of blind enumeration).
+            # becomes a split of its value (instead of blind enumeration;
+            # the concatenation product refutes e.g. '⟨' ++ x = "").
             bridge = fresh_var("eq")
             self._ingest_definition(bridge, lhs)
             self.splits.append((bridge, rhs))
@@ -247,7 +260,7 @@ class _Core:
 
     def _ingest_neq(self, left: Term, right: Term) -> None:
         # var ≠ "const" prunes candidate enumeration directly; everything
-        # else is verified after assignment.
+        # else is verified after assignment (the literal itself).
         lhs, rhs = flatten(left), flatten(right)
         if len(lhs) == 1 and len(rhs) == 1:
             a, b = lhs[0], rhs[0]
@@ -255,7 +268,6 @@ class _Core:
                 self._class(a).excluded.add(b.value)
             elif isinstance(b, StrVar) and isinstance(a, StrConst):
                 self._class(b).excluded.add(a.value)
-        self.neqs.append((left, right))
 
     def _ingest_membership(self, term: Term, regex, positive: bool) -> None:
         atoms = flatten(term)
@@ -410,28 +422,8 @@ class _Core:
         limits, inner loop over cores) so a single expensive core cannot
         starve the others."""
         try:
-            self._ingest()
-            free, defined = self._classify()
-            self._propagate_constants()
-            self._propagate_quotients()
-            # Constant classes with an unresolved (multi-unknown) definition
-            # become split constraints over their constant value.
-            for cls in list(self.classes.values()):
-                if cls.const is not None and cls.definition is not None:
-                    self.splits.append((cls.rep, cls.definition))
-                    cls.definition = None
-            # Propagation and cycle-demotion change class roles; refresh.
-            free = [
-                cls
-                for cls in list(self.classes.values())
-                if not cls.undef
-                and cls.const is None
-                and cls.definition is None
-            ]
-            defined = [cls for cls in defined if cls.definition is not None]
-            for cls in list(self.classes.values()):
-                if cls.const is not None:
-                    self._check_const_class(cls)
+            free, defined = self._prepare()
+            self._decide_concatenations()
         except _UnsatCore:
             return UNSAT, None
 
@@ -472,25 +464,23 @@ class _Core:
                 work.extend(part_cls.definition)
         free_enumerated = [cls for cls in free if cls.rep not in deferred]
 
-        automata: Dict[StrVar, Optional[object]] = {}
         for cls in free:
-            dfa = self._automaton_for(cls)
+            dfa = self._automaton(cls.rep)
             if dfa is not None and dfa.is_empty():
                 return UNSAT, None
-            automata[cls.rep] = dfa
         free = free_enumerated
 
         # Most-constrained-first: classes with an automaton and exclusions
         # are likelier to fail fast.
         free.sort(
             key=lambda cls: (
-                automata[cls.rep] is None,
+                self._automaton(cls.rep) is None,
                 -len(cls.excluded),
             )
         )
 
         status, model, exhaustive = self._search(
-            free, defined, automata, limit, deadline
+            free, defined, limit, deadline
         )
         if status == SAT:
             return SAT, model
@@ -499,6 +489,149 @@ class _Core:
             # DFS covered the whole product: definitive UNSAT.
             return UNSAT, None
         return UNKNOWN, None
+
+    def _prepare(self) -> Tuple[List[_Class], List[_Class]]:
+        """Ingest, classify and propagate; the (free, defined) classes.
+
+        Raises :class:`_UnsatCore` on a structural conflict."""
+        self._ingest()
+        free, defined = self._classify()
+        self._propagate_constants()
+        self._propagate_quotients()
+        # Constant classes with an unresolved (multi-unknown) definition
+        # become split constraints over their constant value.
+        for cls in list(self.classes.values()):
+            if cls.const is not None and cls.definition is not None:
+                self.splits.append((cls.rep, cls.definition))
+                cls.definition = None
+        # Propagation and cycle-demotion change class roles; refresh.
+        free = [
+            cls
+            for cls in list(self.classes.values())
+            if not cls.undef
+            and cls.const is None
+            and cls.definition is None
+        ]
+        defined = [cls for cls in defined if cls.definition is not None]
+        for cls in list(self.classes.values()):
+            if cls.const is not None:
+                self._check_const_class(cls)
+        return free, defined
+
+    def _decide_concatenations(
+        self,
+    ) -> List[Tuple[_Class, List[Tuple[Term, ...]], ConcatWitness]]:
+        """Refute or seed every concatenation shape with one product.
+
+        For each class with a definition or split, a
+        :class:`~repro.automata.lazy.LazyConcatProduct` intersects the
+        class's automaton (or its constant) with every concatenation
+        over it.  Each part stands for its own class automaton minus its
+        excluded words, a literal when constant, or Σ* when
+        unconstrained; an unconstrained part with a definition is
+        replaced by that definition's parts.  Repeated variables, other
+        nested definitions and checks are ignored, so the product
+        over-approximates the solutions: when it is empty the core is
+        UNSAT (raises :class:`_UnsatCore`).  Otherwise its shortest
+        witness seeds the candidate lists of the classes it assigns.
+        Product states count against the core's ``combo_budget``; past
+        half of it the remaining shapes are left to the search.  Returns
+        the (class, concatenations, witness) triples found.
+        """
+        shapes: Dict[StrVar, List[Tuple[Term, ...]]] = {}
+        for cls in self.classes.values():
+            if cls.definition is not None:
+                shapes.setdefault(cls.rep, []).append(cls.definition)
+        for target, parts in self.splits:
+            shapes.setdefault(self._find(target), []).append(parts)
+        allowance = self.solver.combo_budget // 2
+        found = []
+        for rep, concats in shapes.items():
+            cls = self._class(rep)
+            target = self._value_automaton(rep)
+            modelled = []
+            for parts in concats:
+                parts = self._inline(parts, {rep})
+                automata = [self._value_automaton(p) for p in parts]
+                if parts and all(a is not None for a in automata):
+                    modelled.append((parts, automata))
+            if target is None or not modelled:
+                continue  # ⊥ is outside the product's reach
+            concats = [parts for parts, _ in modelled]
+            product = LazyConcatProduct(
+                target, [automata for _, automata in modelled]
+            )
+            try:
+                witness = product.shortest_witness(
+                    max_states=allowance - self._product_states
+                )
+            except ExplorationBudgetExceeded:
+                return found
+            finally:
+                self._product_states += product.states_visited
+            if witness is None:
+                raise _UnsatCore()
+            if cls.const is None:
+                cls.seeds.append(witness.word)
+            for parts, segments in zip(concats, witness.segments):
+                for part, segment in zip(parts, segments):
+                    if isinstance(part, StrVar):
+                        part_cls = self._class(part)
+                        if part_cls.const is None:
+                            part_cls.seeds.append(segment)
+            found.append((cls, concats, witness))
+        return found
+
+    def _inline(
+        self, parts: Tuple[Term, ...], open_reps: set
+    ) -> Tuple[Term, ...]:
+        """``parts`` with every unconstrained defined variable replaced
+        by its definition's parts (recursively; ``open_reps`` guards
+        against a definition that reaches itself)."""
+        out: List[Term] = []
+        for part in parts:
+            if isinstance(part, StrVar):
+                rep = self._find(part)
+                cls = self._class(rep)
+                if (
+                    cls.definition is not None
+                    and cls.const is None
+                    and rep not in open_reps
+                    and self._automaton(rep) is None
+                ):
+                    out.extend(
+                        self._inline(cls.definition, open_reps | {rep})
+                    )
+                    continue
+            out.append(part)
+        return tuple(out)
+
+    def _value_automaton(self, term: Term):
+        """What a concatenation product knows of ``term``'s value: a
+        literal for a constant, else the class automaton (Σ* when
+        unconstrained) minus the class's excluded words, or ``None``
+        for ⊥."""
+        if isinstance(term, StrConst):
+            return _literal_dfa(term.value)
+        if not isinstance(term, StrVar):
+            return None
+        cls = self._class(term)
+        if cls.undef:
+            return None
+        if cls.const is not None:
+            return _literal_dfa(cls.const)
+        automata = [self._automaton(cls.rep)]
+        if cls.excluded:
+            automata.append(finite_dfa(cls.excluded).complement())
+        constrained = [a for a in automata if a is not None]
+        return lazy_intersect_all(constrained) if constrained else _SIGMA_STAR
+
+    def _automaton(self, rep: StrVar):
+        """:meth:`_automaton_for` memoized per class rep (post-propagation,
+        so every user sees the same lazy product and its memos)."""
+        if rep not in self._automata:
+            self._automata[rep] = self._automaton_for(self._class(rep))
+        return self._automata[rep]
 
     def _check_const_class(self, cls: _Class) -> None:
         for regex in cls.pos_regexes:
@@ -599,28 +732,31 @@ class _Core:
         self,
         free: List[_Class],
         defined: List[_Class],
-        automata: Dict[StrVar, Optional[object]],
         limit: int,
         deadline: float,
     ) -> Tuple[str, Optional[Model], bool]:
         candidate_lists: List[List[str]] = []
         exhaustive = True
         for cls in free:
-            dfa = automata[cls.rep]
+            dfa = self._automaton(cls.rep)
             if dfa is None:
                 words = self.solver.default_words(limit)
                 complete = False
             else:
-                words = list(
+                # Complete only when the language is finite and small
+                # enough to list exactly; ``words`` samples each label.
+                exact = finite_words(dfa, limit)
+                complete = exact is not None
+                words = exact if complete else list(
                     dfa.words(
-                        max_count=limit + 1,
+                        max_count=limit,
                         max_length=self.solver.max_word_length,
                     )
                 )
-                complete = len(words) <= limit and not any(
-                    len(word) >= self.solver.max_word_length for word in words
-                )
-                words = words[:limit]
+            if cls.seeds:
+                # Product witnesses lead: they already satisfy every
+                # membership and concatenation the product modelled.
+                words = list(dict.fromkeys(cls.seeds + words))
             if cls.hints:
                 # Hints follow the length-ordered candidates: they widen
                 # the pool (e.g. constants a concatenation must hit) but
@@ -641,7 +777,7 @@ class _Core:
                 return UNKNOWN, None, False
             candidate_lists.append(words)
 
-        budget = self.solver.combo_budget
+        budget = self.solver.combo_budget - self._product_states
         tried = 0
         order = free
 
@@ -838,13 +974,6 @@ class _Core:
         respecting constants, prior assignments, per-class automata and
         exclusions.  Yields {class-rep: substring} assignments."""
 
-        def part_dfa(rep: StrVar) -> Optional[object]:
-            if rep not in self._split_dfa_cache:
-                self._split_dfa_cache[rep] = self._automaton_for(
-                    self._class(rep)
-                )
-            return self._split_dfa_cache[rep]
-
         def rec(
             pos: int, idx: int, chosen: Dict[StrVar, str]
         ) -> Iterator[Dict[StrVar, str]]:
@@ -872,7 +1001,7 @@ class _Core:
                 if fixed is not UNDEF and value.startswith(fixed, pos):
                     yield from rec(pos + len(fixed), idx + 1, chosen)
                 return
-            dfa = part_dfa(rep)
+            dfa = self._automaton(rep)
             for end in range(pos, len(value) + 1):
                 sub = value[pos:end]
                 if sub in cls.excluded:
@@ -893,6 +1022,16 @@ class _Core:
             if not _holds(check, model):
                 return None
         return model
+
+
+#: The product's stand-in for an unconstrained part.
+_SIGMA_STAR = universal_dfa()
+
+
+@lru_cache(maxsize=4096)
+def _literal_dfa(word: str) -> Dfa:
+    """The product's automaton for a constant (shared across cores)."""
+    return finite_dfa([word])
 
 
 def _union_options(regex, threshold: int):
@@ -938,13 +1077,6 @@ def _term_vars(term: Term) -> Iterator[StrVar]:
     elif isinstance(term, Concat):
         for part in term.parts:
             yield from _term_vars(part)
-
-
-def _min_length(atoms: Sequence[Term]) -> int:
-    """A lower bound on the length of a concatenation's value."""
-    return sum(
-        len(t.value) for t in atoms if isinstance(t, StrConst)
-    )
 
 
 def _harvest_consts(formula: Formula, out: set) -> None:
@@ -1081,21 +1213,26 @@ class Solver:
         saw_unknown = False
         status = UNSAT
         model = None
+        # UNSAT is definitive at every limit, and core enumeration is
+        # deterministic: later rounds skip the cores refuted earlier.
+        refuted: set = set()
         for limit in self.round_limits:
             saw_unknown = False
-            round_cores = 0
-            for literals in _enumerate_cores(nnf):
-                round_cores += 1
-                cores_tried += 1
-                if round_cores > self.max_cores:
+            for index, literals in enumerate(_enumerate_cores(nnf)):
+                if index >= self.max_cores:
                     saw_unknown = True
                     break
+                if index in refuted:
+                    continue
+                cores_tried += 1
                 core_status, core_model = _Core(literals, self).solve(
                     deadline, limit
                 )
                 if core_status == SAT:
                     status, model = SAT, core_model
                     break
+                if core_status == UNSAT:
+                    refuted.add(index)
                 if core_status == UNKNOWN:
                     saw_unknown = True
                 if time.monotonic() > deadline:

@@ -10,6 +10,7 @@ from repro.dse import (
     build_harness,
     discover_exports,
 )
+from repro.solver import Solver, UNKNOWN
 
 LISTING1 = r"""
 var timeout = '500';
@@ -35,6 +36,20 @@ class TestListingOne:
     def test_full_coverage(self):
         result = analyze(LISTING1, max_tests=25, time_budget=60)
         assert result.coverage == 1.0
+
+    def test_no_query_waits_for_the_solver_deadline(self):
+        # The negated capture match has one core refuted by a prefix
+        # argument; the concatenation product drops it before it spends
+        # the budget its SAT siblings need, so a 0.3 s deadline is enough.
+        result = analyze(
+            LISTING1,
+            max_tests=25,
+            time_budget=60,
+            solver_factory=lambda timeout: Solver(timeout=0.3),
+        )
+        assert any("timeout must be numeric" in f for f in result.failures)
+        assert result.stats.queries
+        assert all(q.status != UNKNOWN for q in result.stats.queries)
 
     def test_concrete_level_misses_the_bug(self):
         result = analyze(

@@ -294,6 +294,27 @@ class TestRefinementShapedConstraints:
         )
         assert solve(formula).status == UNSAT
 
+    def test_sampled_words_are_not_a_complete_enumeration(self):
+        # [a-z] minus three letters: ``words()`` samples only a few
+        # characters per label, which once read as "every word tried".
+        formula = conj(
+            [InRe(x, re_node("[a-z]"))]
+            + [Not(Eq(x, StrConst(c))) for c in "abc"]
+        )
+        result = solve(formula)
+        assert result.status == SAT
+        assert result.model[x] not in "abc"
+
+    def test_excluding_every_letter_is_unsat(self):
+        formula = conj(
+            [InRe(x, re_node("[a-z]"))]
+            + [
+                Not(Eq(x, StrConst(chr(cp))))
+                for cp in range(ord("a"), ord("z") + 1)
+            ]
+        )
+        assert solve(formula).status == UNSAT
+
 
 class TestSolverLimits:
     def test_unknown_on_tiny_budget(self):
