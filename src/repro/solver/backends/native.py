@@ -19,7 +19,6 @@ _SOLVER_OPTIONS = {
     "timeout",
     "round_limits",
     "combo_budget",
-    "max_cores",
     "max_word_length",
     "split_cap",
     "lazy_union_min_options",

@@ -5,7 +5,12 @@ The capturing-language translation (§4) and the CEGAR refinements
 string/⊥-valued terms, concatenation equations, and classical regular
 membership/non-membership.  This solver decides that fragment *bounded-ly*:
 
-1. NNF + lazy DNF enumeration of conjunctive cores (the DPLL part);
+1. NNF + a conflict-driven depth-first search over its And/Or tree (the
+   DPLL part, :mod:`repro.solver.search`): each ``Or`` is a decision, each leaf a
+   conjunctive core in DNF order.  Once a leaf has failed, partial cores
+   go through the definitive checks below; a refutation skips the
+   subtree and is learned as a nogood that prunes every branch
+   containing it, with backjumping to the latest decision it involves;
 2. per core: congruence closure of equalities (union-find with constants
    and ⊥), concatenation equations as a definition DAG, and per-class
    automata obtained by intersecting all positive memberships with the
@@ -23,12 +28,14 @@ membership/non-membership.  This solver decides that fragment *bounded-ly*:
 Like any string solver on an undecidable theory (§5.3 cites Bjørner et
 al.), the search is bounded: ``UNKNOWN`` is a possible answer.  ``UNSAT``
 is reported only when every core is refuted *definitively* — structurally
-(conflicting constants, empty automata, ⊥-conflicts), by an empty
+(conflicting constants, empty automata, ⊥-conflicts), on a partial
+core or a nogood it contains, by an empty
 concatenation product (a sound over-approximation: it drops repeated
 variables, constrained nested definitions and checks), or by a provably
 complete enumeration (every candidate list an exact listing of a finite
-language, fully covered).  Budget exhaustion alone always yields
-``UNKNOWN``, which keeps DSE's use of unsatisfiability sound.  ``SAT``
+language, fully covered, with no split enumeration cut short and no
+variable left at a guessed default).  Budget exhaustion alone always
+yields ``UNKNOWN``, which keeps DSE's use of unsatisfiability sound.  ``SAT``
 always comes from a full model that re-checks every literal.
 """
 
@@ -37,7 +44,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.automata import (
     ConcatWitness,
@@ -89,6 +104,9 @@ UNKNOWN = "unknown"
 class SolverResult:
     status: str
     model: Optional[Model] = None
+    #: The nogoods the native search learned: literals that no model
+    #: satisfies together, each in the order that refuted them.
+    nogoods: Tuple[Tuple[Formula, ...], ...] = ()
 
     def __bool__(self) -> bool:
         return self.status == SAT
@@ -98,6 +116,10 @@ class _UnsatCore(Exception):
     """Internal: the current conjunctive core is structurally unsatisfiable."""
 
 
+#: The stages of :meth:`_Core.definitive`, cheapest first.
+INGEST, PREPARE, PRODUCTS = 1, 2, 3
+
+
 @dataclass
 class _Class:
     """One union-find equivalence class of string variables."""
@@ -105,7 +127,8 @@ class _Class:
     rep: StrVar
     members: List[StrVar] = field(default_factory=list)
     const: Optional[str] = None
-    undef: bool = False
+    #: ``True``: the class is ⊥; ``False``: a literal rules ⊥ out.
+    undef: Optional[bool] = None
     pos_regexes: List[object] = field(default_factory=list)
     neg_regexes: List[object] = field(default_factory=list)
     definition: Optional[Tuple[Term, ...]] = None
@@ -121,9 +144,19 @@ class _Class:
 class _Core:
     """Solves one conjunction of literals."""
 
-    def __init__(self, literals: Sequence[Formula], solver: "Solver"):
+    def __init__(
+        self,
+        literals: Sequence[Formula],
+        solver: "Solver",
+        trail: bool = False,
+    ):
         self.literals = literals
         self.solver = solver
+        #: Undo log (``trail=True``, the search's partial core).  Ingest
+        #: writes through :meth:`_put`, :meth:`_drop`, :meth:`_assign`,
+        #: :meth:`_extend` and :meth:`_add`, so :meth:`undo` takes back
+        #: a decision's literals on backtrack.
+        self._trail: Optional[list] = [] if trail else None
         self.parent: Dict[StrVar, StrVar] = {}
         self.classes: Dict[StrVar, _Class] = {}
         self.checks: List[Formula] = []
@@ -137,15 +170,64 @@ class _Core:
         self._automata: Dict[StrVar, Optional[object]] = {}
         #: ``combo_budget`` units the concatenation products used up.
         self._product_states = 0
+        #: Why split settling gave up on a candidate without covering it:
+        #: ``budget`` (``split_cap`` or the depth valve) or ``incomplete``
+        #: (a guessed default failed).  The search then proves nothing.
+        self._truncated: Optional[str] = None
+
+    # -- undoable writes -------------------------------------------------------
+
+    def _put(self, table: dict, key, value) -> None:
+        if self._trail is not None:
+            self._trail.append(
+                (_restore_item, table, key, table.get(key, _MISSING))
+            )
+        table[key] = value
+
+    def _drop(self, table: dict, key) -> None:
+        if self._trail is not None:
+            self._trail.append((_restore_item, table, key, table[key]))
+        del table[key]
+
+    def _assign(self, obj, name: str, value) -> None:
+        if self._trail is not None:
+            self._trail.append((setattr, obj, name, getattr(obj, name)))
+        setattr(obj, name, value)
+
+    def _extend(self, items: list, more) -> None:
+        if self._trail is not None:
+            self._trail.append((_truncate, items, len(items)))
+        items.extend(more)
+
+    def _add(self, items: set, item) -> None:
+        if item not in items:
+            if self._trail is not None:
+                self._trail.append((set.discard, items, item))
+            items.add(item)
+
+    def mark(self) -> int:
+        """A point of the undo log to :meth:`undo` back to."""
+        return len(self._trail)
+
+    def undo(self, mark: int) -> None:
+        trail = self._trail
+        while len(trail) > mark:
+            action, *args = trail.pop()
+            action(*args)
 
     # -- union-find ----------------------------------------------------------
 
     def _find(self, var: StrVar) -> StrVar:
+        parent = self.parent
+        if var not in parent:
+            self._put(parent, var, var)
+            return var
         root = var
-        while self.parent.setdefault(root, root) != root:
-            root = self.parent[root]
-        while self.parent[var] != root:  # path compression
-            self.parent[var], var = root, self.parent[var]
+        while parent[root] != root:
+            root = parent[root]
+        if self._trail is None:
+            while parent[var] != root:  # path compression
+                parent[var], var = root, parent[var]
         return root
 
     def _class(self, var: StrVar) -> _Class:
@@ -153,7 +235,7 @@ class _Core:
         cls = self.classes.get(root)
         if cls is None:
             cls = _Class(rep=root, members=[root])
-            self.classes[root] = cls
+            self._put(self.classes, root, cls)
         return cls
 
     def _union(self, a: StrVar, b: StrVar) -> None:
@@ -161,39 +243,48 @@ class _Core:
         if ra == rb:
             return
         ca, cb = self._class(ra), self._class(rb)
-        self.parent[rb] = ra
-        ca.members.extend(cb.members)
-        ca.pos_regexes.extend(cb.pos_regexes)
-        ca.neg_regexes.extend(cb.neg_regexes)
-        ca.excluded |= cb.excluded
-        ca.hints |= cb.hints
-        ca.extra_dfas.extend(cb.extra_dfas)
+        self._put(self.parent, rb, ra)
+        self._extend(ca.members, cb.members)
+        self._extend(ca.pos_regexes, cb.pos_regexes)
+        self._extend(ca.neg_regexes, cb.neg_regexes)
+        for word in cb.excluded:
+            self._add(ca.excluded, word)
+        for hint in cb.hints:
+            self._add(ca.hints, hint)
+        self._extend(ca.extra_dfas, cb.extra_dfas)
         if cb.const is not None:
             self._set_const(ca, cb.const)
         if cb.undef:
             self._set_undef(ca)
+        elif cb.undef is False:
+            self._set_defined(ca)
         if cb.definition is not None and ca.definition is None:
-            ca.definition = cb.definition
+            self._assign(ca, "definition", cb.definition)
         elif cb.definition is not None:
-            self.checks.append(Eq(ca.rep, _to_term(cb.definition)))
-        del self.classes[rb]
+            self._extend(self.checks, [Eq(ca.rep, _to_term(cb.definition))])
+        self._drop(self.classes, rb)
 
     def _set_const(self, cls: _Class, value: str) -> None:
         if cls.undef:
             raise _UnsatCore()
         if cls.const is not None and cls.const != value:
             raise _UnsatCore()
-        cls.const = value
+        self._assign(cls, "const", value)
 
     def _set_undef(self, cls: _Class) -> None:
-        if cls.const is not None:
+        if cls.const is not None or cls.undef is False:
             raise _UnsatCore()
-        cls.undef = True
+        self._assign(cls, "undef", True)
+
+    def _set_defined(self, cls: _Class) -> None:
+        if cls.undef:
+            raise _UnsatCore()
+        self._assign(cls, "undef", False)
 
     # -- literal intake ------------------------------------------------------
 
-    def _ingest(self) -> None:
-        for literal in self.literals:
+    def ingest(self, literals: Iterable[Formula]) -> None:
+        for literal in literals:
             positive, atom = _polarity(literal)
             if isinstance(atom, BoolLit):
                 if atom.value != positive:
@@ -224,7 +315,7 @@ class _Core:
             # the concatenation product refutes e.g. '⟨' ++ x = "").
             bridge = fresh_var("eq")
             self._ingest_definition(bridge, lhs)
-            self.splits.append((bridge, rhs))
+            self._extend(self.splits, [(bridge, rhs)])
 
     def _ingest_simple_eq(self, a: Term, b: Term) -> None:
         if isinstance(a, StrVar) and isinstance(b, StrVar):
@@ -254,9 +345,9 @@ class _Core:
             elif isinstance(part, Undef):
                 raise _UnsatCore()  # ⊥ cannot appear inside a concatenation
         if cls.definition is None:
-            cls.definition = parts
+            self._assign(cls, "definition", parts)
         else:
-            self.splits.append((var, parts))
+            self._extend(self.splits, [(var, parts)])
 
     def _ingest_neq(self, left: Term, right: Term) -> None:
         # var ≠ "const" prunes candidate enumeration directly; everything
@@ -264,23 +355,30 @@ class _Core:
         lhs, rhs = flatten(left), flatten(right)
         if len(lhs) == 1 and len(rhs) == 1:
             a, b = lhs[0], rhs[0]
+            if isinstance(b, StrVar):
+                a, b = b, a
             if isinstance(a, StrVar) and isinstance(b, StrConst):
-                self._class(a).excluded.add(b.value)
-            elif isinstance(b, StrVar) and isinstance(a, StrConst):
-                self._class(b).excluded.add(a.value)
+                self._add(self._class(a).excluded, b.value)
+            elif isinstance(a, StrVar) and isinstance(b, Undef):
+                self._set_defined(self._class(a))
+            elif not isinstance(a, StrVar) and not isinstance(b, StrVar):
+                if _const_value(a) == _const_value(b):
+                    raise _UnsatCore()
 
     def _ingest_membership(self, term: Term, regex, positive: bool) -> None:
         atoms = flatten(term)
         if len(atoms) == 1 and isinstance(atoms[0], StrVar):
             cls = self._class(atoms[0])
-            (cls.pos_regexes if positive else cls.neg_regexes).append(regex)
+            self._extend(
+                cls.pos_regexes if positive else cls.neg_regexes, [regex]
+            )
         elif len(atoms) == 1 and isinstance(atoms[0], StrConst):
             accepted = dfa_for(regex).accepts_word(atoms[0].value)
             if accepted != positive:
                 raise _UnsatCore()
         else:
             check = InRe(term, regex)
-            self.checks.append(check if positive else Not(check))
+            self._extend(self.checks, [check if positive else Not(check)])
 
     # -- consistency + classification -----------------------------------------
 
@@ -415,17 +513,28 @@ class _Core:
 
     # -- search ----------------------------------------------------------------
 
-    def solve(self, deadline: float, limit: int) -> Tuple[str, Optional[Model]]:
-        """Solve this core with one per-class candidate ``limit``.
+    def solve(
+        self,
+        prepared: Tuple[List[_Class], List[_Class]],
+        deadline: float,
+        limit: int,
+    ) -> Tuple[str, Optional[Model], Optional[str]]:
+        """Search for a model of this core, given the (free, defined)
+        classes :meth:`definitive` returned, with one per-class candidate
+        ``limit``.
 
         Iterative deepening lives in :meth:`Solver.solve` (outer loop over
         limits, inner loop over cores) so a single expensive core cannot
-        starve the others."""
-        try:
-            free, defined = self._prepare()
-            self._decide_concatenations()
-        except _UnsatCore:
-            return UNSAT, None
+        starve the others.  Returns (status, model, UNKNOWN reason)."""
+        free, defined = prepared
+        if any(
+            var not in self.parent
+            for literal in self.literals
+            for var in _formula_vars(literal)
+        ):
+            # A variable that only verified literals mention keeps its
+            # default "": a failed verification proves nothing.
+            self._truncated = "incomplete"
 
         # Harvest constants from the core: substrings of literal strings are
         # prime candidates for free variables (e.g. a capture that must
@@ -462,13 +571,7 @@ class _Core:
             part_cls = self._class(rep)
             if part_cls.definition is not None:
                 work.extend(part_cls.definition)
-        free_enumerated = [cls for cls in free if cls.rep not in deferred]
-
-        for cls in free:
-            dfa = self._automaton(cls.rep)
-            if dfa is not None and dfa.is_empty():
-                return UNSAT, None
-        free = free_enumerated
+        free = [cls for cls in free if cls.rep not in deferred]
 
         # Most-constrained-first: classes with an automaton and exclusions
         # are likelier to fail fast.
@@ -479,22 +582,44 @@ class _Core:
             )
         )
 
-        status, model, exhaustive = self._search(
-            free, defined, limit, deadline
-        )
-        if status == SAT:
-            return SAT, model
-        if exhaustive:
-            # Every candidate list was a complete enumeration and the
-            # DFS covered the whole product: definitive UNSAT.
-            return UNSAT, None
-        return UNKNOWN, None
+        return self._search(free, defined, limit, deadline)
+
+    def definitive(
+        self, stage: int = PRODUCTS
+    ) -> Optional[Tuple[List[_Class], List[_Class]]]:
+        """Run the definitive checks up to ``stage``; ``None`` when one
+        refutes the core, and ``refuted_at`` says which.
+
+        The stages are :data:`INGEST`, :data:`PREPARE` (classification
+        and propagation) and :data:`PRODUCTS` (the concatenation
+        products and the emptiness of each free class's automaton).
+        Each refutes the literals it saw, so it holds for any superset
+        of them: the search runs them on partial cores.  Otherwise
+        returns the (free, defined) classes."""
+        self.refuted_at = INGEST
+        try:
+            self.ingest(self.literals)
+            if stage == INGEST:
+                return [], []
+            self.refuted_at = PREPARE
+            free, defined = self._prepare()
+            if stage == PREPARE:
+                return free, defined
+            self.refuted_at = PRODUCTS
+            self._decide_concatenations()
+        except _UnsatCore:
+            return None
+        for cls in free:
+            dfa = self._automaton(cls.rep)
+            if dfa is not None and dfa.is_empty():
+                return None
+        return free, defined
 
     def _prepare(self) -> Tuple[List[_Class], List[_Class]]:
-        """Ingest, classify and propagate; the (free, defined) classes.
+        """Classify and propagate the ingested literals; the (free,
+        defined) classes.
 
         Raises :class:`_UnsatCore` on a structural conflict."""
-        self._ingest()
         free, defined = self._classify()
         self._propagate_constants()
         self._propagate_quotients()
@@ -734,7 +859,7 @@ class _Core:
         defined: List[_Class],
         limit: int,
         deadline: float,
-    ) -> Tuple[str, Optional[Model], bool]:
+    ) -> Tuple[str, Optional[Model], Optional[str]]:
         candidate_lists: List[List[str]] = []
         exhaustive = True
         for cls in free:
@@ -773,8 +898,8 @@ class _Core:
             exhaustive = exhaustive and complete
             if not words:
                 if complete:
-                    return UNSAT, None, True  # finite language fully excluded
-                return UNKNOWN, None, False
+                    return UNSAT, None, None  # finite language fully excluded
+                return UNKNOWN, None, "incomplete"
             candidate_lists.append(words)
 
         budget = self.solver.combo_budget - self._product_states
@@ -820,12 +945,18 @@ class _Core:
         found = assign(0, base)
         self.solver._candidates_tried += tried
         if found is not None:
-            return SAT, found, False
-        if tried > budget or time.monotonic() > deadline:
-            return UNKNOWN, None, False
+            return SAT, found, None
+        if tried > budget:
+            return UNKNOWN, None, "budget"
+        if self._truncated is not None:
+            return UNKNOWN, None, self._truncated
+        if time.monotonic() > deadline:
+            return UNKNOWN, None, "deadline"
         # The DFS covered the whole candidate product; the round is only
         # *definitive* if every candidate list was a complete enumeration.
-        return (UNSAT, None, True) if exhaustive else (UNKNOWN, None, False)
+        return (UNSAT, None, None) if exhaustive else (
+            UNKNOWN, None, "incomplete"
+        )
 
     def _schedule_checks(
         self, order: List[_Class]
@@ -862,7 +993,9 @@ class _Core:
     def _settle(self, model: Model, defined: List[_Class]) -> Optional[Model]:
         """Complete a partial assignment: compute defined classes, solve
         split constraints (with backtracking over splits), then verify
-        every literal."""
+        every literal.  A give-up at ``split_cap`` or at the depth valve,
+        and a failed guess of defaults, set ``_truncated``, so the search
+        cannot count them as a refutation."""
         return self._settle_rec(model, list(defined), list(self.splits), 0)
 
     def _settle_rec(
@@ -873,6 +1006,7 @@ class _Core:
         depth: int,
     ) -> Optional[Model]:
         if depth > 16:  # backtracking safety valve
+            self._truncated = "budget"
             return None
         # Fixpoint: compute defined classes whose parts are all known.
         # A defined class whose *own* value arrived first (via an outer
@@ -897,14 +1031,16 @@ class _Core:
                 pending_defined.remove(cls)
                 progress = True
 
+        if not pending_splits and not pending_defined:
+            return self._verify(model)
         if not pending_splits:
             for cls in pending_defined:
                 # Unresolvable dependencies: fall back to defaults ("").
                 if not self._apply_class_value(
                     cls, _to_term(cls.definition), model
                 ):
-                    return None
-            return self._verify(model)
+                    return self._guessed(None)
+            return self._guessed(self._verify(model))
 
         # Solve the first split whose target word is already determined.
         for i, (target, parts) in enumerate(pending_splits):
@@ -924,6 +1060,7 @@ class _Core:
             for assignment in self._enumerate_splits(value, parts, model):
                 emitted += 1
                 if emitted > self.solver.split_cap:
+                    self._truncated = "budget"
                     break
                 trial = model.copy()
                 for rep, word in assignment.items():
@@ -938,7 +1075,14 @@ class _Core:
 
         # No split target is determined (cyclic structure): give leftover
         # parts their defaults and verify.
-        return self._verify(model)
+        return self._guessed(self._verify(model))
+
+    def _guessed(self, model: Optional[Model]) -> Optional[Model]:
+        """The outcome of settling with guessed defaults: a failure
+        there refutes nothing."""
+        if model is None and self._truncated is None:
+            self._truncated = "incomplete"
+        return model
 
     def _evaluable(self, term: Term, model: Model) -> bool:
         if isinstance(term, StrVar):
@@ -1026,6 +1170,20 @@ class _Core:
 
 #: The product's stand-in for an unconstrained part.
 _SIGMA_STAR = universal_dfa()
+
+#: Undo-log marker: the key was absent before the write.
+_MISSING = object()
+
+
+def _restore_item(table: dict, key, old) -> None:
+    if old is _MISSING:
+        del table[key]
+    else:
+        table[key] = old
+
+
+def _truncate(items: list, length: int) -> None:
+    del items[length:]
 
 
 @lru_cache(maxsize=4096)
@@ -1164,16 +1322,18 @@ def _holds(formula: Formula, model: Model) -> bool:
 class Solver:
     """The public solver object (drop-in for the paper's use of Z3).
 
-    Parameters bound the search: ``round_limits`` are per-class candidate
-    counts for iterative deepening, ``combo_budget`` caps assignments per
-    core, and ``timeout`` caps wall-clock time per query.
+    A query is decided by :class:`~repro.solver.search.Search`, a
+    conflict-driven walk over its NNF that solves one conjunctive core
+    per leaf and learns nogoods from refuted partial cores.  Parameters
+    bound the search: ``round_limits`` are per-class candidate counts for
+    iterative deepening, ``combo_budget`` caps assignments per leaf core,
+    and ``timeout`` caps wall-clock time per query.
     """
 
     def __init__(
         self,
         round_limits: Sequence[int] = (12, 80, 600),
         combo_budget: int = 60_000,
-        max_cores: int = 4_000,
         max_word_length: int = 48,
         split_cap: int = 512,
         timeout: float = 20.0,
@@ -1182,7 +1342,6 @@ class Solver:
     ):
         self.round_limits = list(round_limits)
         self.combo_budget = combo_budget
-        self.max_cores = max_cores
         self.max_word_length = max_word_length
         self.split_cap = split_cap
         self.timeout = timeout
@@ -1202,80 +1361,38 @@ class Solver:
         """Decide ``formula``; returns SAT with a model, UNSAT, or UNKNOWN.
 
         Iterative deepening over candidate limits is the *outer* loop: at
-        each limit every conjunctive core gets a (cheap) chance before any
-        core receives a bigger budget — a single hard core cannot starve
-        the others."""
+        each limit every leaf core gets a (cheap) chance before any core
+        receives a bigger budget — a single hard core cannot starve the
+        others.  Nogoods learned in one round prune the next."""
         start = time.perf_counter()
         deadline = time.monotonic() + self.timeout
         self._candidates_tried = 0
-        nnf = to_nnf(formula)
-        cores_tried = 0
-        saw_unknown = False
-        status = UNSAT
-        model = None
-        # UNSAT is definitive at every limit, and core enumeration is
-        # deterministic: later rounds skip the cores refuted earlier.
-        refuted: set = set()
+        # search.py builds on _Core, so it is imported here, not above.
+        from repro.solver.search import Search
+
+        search = Search(self, to_nnf(formula), deadline)
+        status, model, reason = UNKNOWN, None, None
         for limit in self.round_limits:
-            saw_unknown = False
-            for index, literals in enumerate(_enumerate_cores(nnf)):
-                if index >= self.max_cores:
-                    saw_unknown = True
-                    break
-                if index in refuted:
-                    continue
-                cores_tried += 1
-                core_status, core_model = _Core(literals, self).solve(
-                    deadline, limit
-                )
-                if core_status == SAT:
-                    status, model = SAT, core_model
-                    break
-                if core_status == UNSAT:
-                    refuted.add(index)
-                if core_status == UNKNOWN:
-                    saw_unknown = True
-                if time.monotonic() > deadline:
-                    saw_unknown = True
-                    break
-            if status == SAT:
+            outcome = search.run(limit)
+            if isinstance(outcome, Model):
+                status, model = SAT, outcome
                 break
-            if not saw_unknown:
-                status = UNSAT  # every core definitively refuted
+            if outcome is not None:
+                status = UNSAT  # the root is refuted
                 break
-            if time.monotonic() > deadline:
+            if "deadline" in search.reasons or time.monotonic() > deadline:
+                reason = "deadline"
                 break
-        if status != SAT and saw_unknown:
-            status = UNKNOWN
+            reason = "budget" if "budget" in search.reasons else "incomplete"
         if self.stats is not None:
             self.stats.record(
                 QueryRecord(
                     seconds=time.perf_counter() - start,
                     status=status,
-                    cores_tried=cores_tried,
+                    cores_tried=search.cores_tried,
                     candidates_tried=self._candidates_tried,
+                    nogoods=len(search.learned),
+                    unknown_reason=reason if status == UNKNOWN else None,
                 )
             )
-        return SolverResult(status, model)
-
-
-def _enumerate_cores(nnf: Formula) -> Iterator[List[Formula]]:
-    """Lazily enumerate conjunctive cores (DNF branches) of an NNF formula."""
-    if isinstance(nnf, And):
-        def product(operands: Tuple[Formula, ...]) -> Iterator[List[Formula]]:
-            if not operands:
-                yield []
-                return
-            for head in _enumerate_cores(operands[0]):
-                for tail in product(operands[1:]):
-                    yield head + tail
-
-        yield from product(nnf.operands)
-    elif isinstance(nnf, Or):
-        for option in nnf.operands:
-            yield from _enumerate_cores(option)
-    elif isinstance(nnf, BoolLit):
-        if nnf.value:
-            yield []
-    else:
-        yield [nnf]
+        return SolverResult(status, model, tuple(search.learned))

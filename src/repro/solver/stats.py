@@ -32,8 +32,16 @@ class QueryRecord:
 
     seconds: float
     status: str
+    #: Leaf cores solved.
     cores_tried: int = 0
     candidates_tried: int = 0
+    #: Nogoods learned in this query (their literals come back on the
+    #: native solver's ``SolverResult``; records keep only the count,
+    #: so they pin no formula).
+    nogoods: int = 0
+    #: Why an UNKNOWN verdict: ``deadline``, ``budget`` (a work cap) or
+    #: ``incomplete`` (candidate lists that are no exact enumeration).
+    unknown_reason: Optional[str] = None
     had_regex: bool = False
     had_captures: bool = False
     refinements: int = 0

@@ -98,6 +98,11 @@ class TestRegistry:
         with pytest.raises(BackendError, match="key=value"):
             make_backend("native?timeout")
 
+    def test_removed_max_cores_option_fails_at_spec_time(self):
+        # The conflict-driven search has no cap on the number of cores.
+        with pytest.raises(BackendError, match="max_cores"):
+            make_backend("native?max_cores=10")
+
     def test_non_numeric_option_values_fail_at_spec_time(self):
         with pytest.raises(BackendError, match="expects a number"):
             make_backend("native?timeout=abc")

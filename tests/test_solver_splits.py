@@ -170,3 +170,39 @@ class TestSplitWithDefinitionsChained:
         result = Solver().solve(formula)
         assert result.status == SAT
         assert result.model[x] == "ab" and result.model[y] == ""
+
+
+class TestTruncatedSettling:
+    """A split enumeration cut at ``split_cap`` is no refutation."""
+
+    def formula(self, regex):
+        return conj(
+            [
+                Eq(x, StrConst("a" * 40)),
+                Eq(x, concat(a, b, c)),
+                InRe(concat(a, StrConst("c")), rn(regex)),
+            ]
+        )
+
+    def test_split_cap_give_up_is_not_unsat(self):
+        # SAT with a = a^20, but the 861 splits of x reach that one
+        # past the default cap of 512: the answer must not be UNSAT.
+        assert Solver().solve(self.formula("a{20}c")).status in (
+            SAT,
+            UNKNOWN,
+        )
+
+    def test_a_larger_cap_finds_the_split(self):
+        result = Solver(split_cap=5000).solve(self.formula("a{20}c"))
+        assert result.status == SAT
+        assert result.model[a] == "a" * 20
+        assert Solver().solve(self.formula("a{14}c")).status == SAT
+
+    def test_truncation_is_a_budget_unknown(self):
+        from repro.solver.stats import SolverStats
+
+        stats = SolverStats()
+        Solver(stats=stats).solve(self.formula("a{20}c"))
+        record = stats.queries[-1]
+        assert record.status == UNKNOWN
+        assert record.unknown_reason == "budget"

@@ -61,3 +61,62 @@ class TestAggregation:
         stats.record(record(seconds=0.25))
         stats.record(record(seconds=0.75))
         assert abs(stats.total_time() - 1.0) < 1e-9
+
+
+class TestSearchRecords:
+    """What the native solver records about its core search."""
+
+    def solve(self, formula, **options):
+        from repro.solver import Solver
+
+        stats = SolverStats()
+        result = Solver(stats=stats, **options).solve(formula)
+        self.result = result
+        return result.status, stats.queries[-1]
+
+    def test_defaults_are_empty(self):
+        assert record().nogoods == 0
+        assert record().unknown_reason is None
+
+    def test_refuted_branches_leave_nogoods(self):
+        from repro.constraints import Eq, InRe, StrConst, StrVar, concat
+        from repro.constraints.formulas import And, Or
+        from repro.regex import parse_regex
+
+        x, p, q = StrVar("x"), StrVar("p"), StrVar("q")
+        pinned = Eq(x, StrConst("x"))
+        split = Eq(x, concat(p, q))
+        # 4^4 = 256 cores, none with p ∈ {"", "x"}.
+        choices = [
+            Or(tuple(InRe(var, parse_regex(r).body) for r in options))
+            for var, options in (
+                (p, ("a+", "b+", "c", "d")),
+                (q, ("e*", "f*", "g*", "h*")),
+                (q, ("[e-h]*", "i*", "j*", "k*")),
+                (p, ("y", "z", "[yz]", "[^x]")),
+            )
+        ]
+        status, query = self.solve(And((split, *choices, pinned)))
+        assert status == "unsat"
+        assert query.unknown_reason is None
+        assert query.cores_tried == 1  # the rest fell to nogoods
+        assert query.nogoods == len(self.result.nogoods) == 4
+        for nogood in self.result.nogoods:
+            assert set(nogood) & {pinned, split}
+            assert len(nogood) <= 3
+
+    def test_unknown_reasons(self):
+        from repro.constraints import Eq, InRe, StrVar, concat, conj
+        from repro.regex import parse_regex
+
+        x, y = StrVar("x"), StrVar("y")
+        # x = y ++ y has even length, a(aa)* odd; the concatenation
+        # product ignores the repeated variable and y's candidates are
+        # no exact listing, so every round ends short of a proof.
+        formula = conj(
+            [Eq(x, concat(y, y)), InRe(x, parse_regex("a(aa)*").body)]
+        )
+        status, query = self.solve(formula)
+        assert (status, query.unknown_reason) == ("unknown", "incomplete")
+        status, query = self.solve(formula, timeout=-1.0)
+        assert (status, query.unknown_reason) == ("unknown", "deadline")
