@@ -5,12 +5,13 @@ The capturing-language translation (§4) and the CEGAR refinements
 string/⊥-valued terms, concatenation equations, and classical regular
 membership/non-membership.  This solver decides that fragment *bounded-ly*:
 
-1. NNF + a conflict-driven depth-first search over its And/Or tree (the
-   DPLL part, :mod:`repro.solver.search`): each ``Or`` is a decision, each leaf a
-   conjunctive core in DNF order.  Once a leaf has failed, partial cores
-   go through the definitive checks below; a refutation skips the
-   subtree and is learned as a nogood that prunes every branch
-   containing it, with backjumping to the latest decision it involves;
+1. NNF + a conflict-driven depth-first search over its And/Or tree
+   (the DPLL part, :mod:`repro.solver.search`): each ``Or`` is a
+   decision, each leaf a conjunctive core in DNF order.  Once a leaf
+   has failed, partial cores go through the definitive checks below; a
+   refutation skips the subtree and is learned as a nogood that prunes
+   every branch containing it, with backjumping to the latest decision
+   it involves;
 2. per core: congruence closure of equalities (union-find with constants
    and ⊥), concatenation equations as a definition DAG, and per-class
    automata obtained by intersecting all positive memberships with the
@@ -44,15 +45,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.automata import (
     ConcatWitness,
@@ -104,9 +97,6 @@ UNKNOWN = "unknown"
 class SolverResult:
     status: str
     model: Optional[Model] = None
-    #: The nogoods the native search learned: literals that no model
-    #: satisfies together, each in the order that refuted them.
-    nogoods: Tuple[Tuple[Formula, ...], ...] = ()
 
     def __bool__(self) -> bool:
         return self.status == SAT
@@ -144,19 +134,9 @@ class _Class:
 class _Core:
     """Solves one conjunction of literals."""
 
-    def __init__(
-        self,
-        literals: Sequence[Formula],
-        solver: "Solver",
-        trail: bool = False,
-    ):
+    def __init__(self, literals: Sequence[Formula], solver: "Solver"):
         self.literals = literals
         self.solver = solver
-        #: Undo log (``trail=True``, the search's partial core).  Ingest
-        #: writes through :meth:`_put`, :meth:`_drop`, :meth:`_assign`,
-        #: :meth:`_extend` and :meth:`_add`, so :meth:`undo` takes back
-        #: a decision's literals on backtrack.
-        self._trail: Optional[list] = [] if trail else None
         self.parent: Dict[StrVar, StrVar] = {}
         self.classes: Dict[StrVar, _Class] = {}
         self.checks: List[Formula] = []
@@ -175,59 +155,14 @@ class _Core:
         #: (a guessed default failed).  The search then proves nothing.
         self._truncated: Optional[str] = None
 
-    # -- undoable writes -------------------------------------------------------
-
-    def _put(self, table: dict, key, value) -> None:
-        if self._trail is not None:
-            self._trail.append(
-                (_restore_item, table, key, table.get(key, _MISSING))
-            )
-        table[key] = value
-
-    def _drop(self, table: dict, key) -> None:
-        if self._trail is not None:
-            self._trail.append((_restore_item, table, key, table[key]))
-        del table[key]
-
-    def _assign(self, obj, name: str, value) -> None:
-        if self._trail is not None:
-            self._trail.append((setattr, obj, name, getattr(obj, name)))
-        setattr(obj, name, value)
-
-    def _extend(self, items: list, more) -> None:
-        if self._trail is not None:
-            self._trail.append((_truncate, items, len(items)))
-        items.extend(more)
-
-    def _add(self, items: set, item) -> None:
-        if item not in items:
-            if self._trail is not None:
-                self._trail.append((set.discard, items, item))
-            items.add(item)
-
-    def mark(self) -> int:
-        """A point of the undo log to :meth:`undo` back to."""
-        return len(self._trail)
-
-    def undo(self, mark: int) -> None:
-        trail = self._trail
-        while len(trail) > mark:
-            action, *args = trail.pop()
-            action(*args)
-
     # -- union-find ----------------------------------------------------------
 
     def _find(self, var: StrVar) -> StrVar:
-        parent = self.parent
-        if var not in parent:
-            self._put(parent, var, var)
-            return var
         root = var
-        while parent[root] != root:
-            root = parent[root]
-        if self._trail is None:
-            while parent[var] != root:  # path compression
-                parent[var], var = root, parent[var]
+        while self.parent.setdefault(root, root) != root:
+            root = self.parent[root]
+        while self.parent[var] != root:  # path compression
+            self.parent[var], var = root, self.parent[var]
         return root
 
     def _class(self, var: StrVar) -> _Class:
@@ -235,7 +170,7 @@ class _Core:
         cls = self.classes.get(root)
         if cls is None:
             cls = _Class(rep=root, members=[root])
-            self._put(self.classes, root, cls)
+            self.classes[root] = cls
         return cls
 
     def _union(self, a: StrVar, b: StrVar) -> None:
@@ -243,15 +178,13 @@ class _Core:
         if ra == rb:
             return
         ca, cb = self._class(ra), self._class(rb)
-        self._put(self.parent, rb, ra)
-        self._extend(ca.members, cb.members)
-        self._extend(ca.pos_regexes, cb.pos_regexes)
-        self._extend(ca.neg_regexes, cb.neg_regexes)
-        for word in cb.excluded:
-            self._add(ca.excluded, word)
-        for hint in cb.hints:
-            self._add(ca.hints, hint)
-        self._extend(ca.extra_dfas, cb.extra_dfas)
+        self.parent[rb] = ra
+        ca.members.extend(cb.members)
+        ca.pos_regexes.extend(cb.pos_regexes)
+        ca.neg_regexes.extend(cb.neg_regexes)
+        ca.excluded |= cb.excluded
+        ca.hints |= cb.hints
+        ca.extra_dfas.extend(cb.extra_dfas)
         if cb.const is not None:
             self._set_const(ca, cb.const)
         if cb.undef:
@@ -259,32 +192,32 @@ class _Core:
         elif cb.undef is False:
             self._set_defined(ca)
         if cb.definition is not None and ca.definition is None:
-            self._assign(ca, "definition", cb.definition)
+            ca.definition = cb.definition
         elif cb.definition is not None:
-            self._extend(self.checks, [Eq(ca.rep, _to_term(cb.definition))])
-        self._drop(self.classes, rb)
+            self.checks.append(Eq(ca.rep, _to_term(cb.definition)))
+        del self.classes[rb]
 
     def _set_const(self, cls: _Class, value: str) -> None:
         if cls.undef:
             raise _UnsatCore()
         if cls.const is not None and cls.const != value:
             raise _UnsatCore()
-        self._assign(cls, "const", value)
+        cls.const = value
 
     def _set_undef(self, cls: _Class) -> None:
         if cls.const is not None or cls.undef is False:
             raise _UnsatCore()
-        self._assign(cls, "undef", True)
+        cls.undef = True
 
     def _set_defined(self, cls: _Class) -> None:
         if cls.undef:
             raise _UnsatCore()
-        self._assign(cls, "undef", False)
+        cls.undef = False
 
     # -- literal intake ------------------------------------------------------
 
-    def ingest(self, literals: Iterable[Formula]) -> None:
-        for literal in literals:
+    def _ingest(self) -> None:
+        for literal in self.literals:
             positive, atom = _polarity(literal)
             if isinstance(atom, BoolLit):
                 if atom.value != positive:
@@ -315,7 +248,7 @@ class _Core:
             # the concatenation product refutes e.g. '⟨' ++ x = "").
             bridge = fresh_var("eq")
             self._ingest_definition(bridge, lhs)
-            self._extend(self.splits, [(bridge, rhs)])
+            self.splits.append((bridge, rhs))
 
     def _ingest_simple_eq(self, a: Term, b: Term) -> None:
         if isinstance(a, StrVar) and isinstance(b, StrVar):
@@ -345,9 +278,9 @@ class _Core:
             elif isinstance(part, Undef):
                 raise _UnsatCore()  # ⊥ cannot appear inside a concatenation
         if cls.definition is None:
-            self._assign(cls, "definition", parts)
+            cls.definition = parts
         else:
-            self._extend(self.splits, [(var, parts)])
+            self.splits.append((var, parts))
 
     def _ingest_neq(self, left: Term, right: Term) -> None:
         # var ≠ "const" prunes candidate enumeration directly; everything
@@ -358,7 +291,7 @@ class _Core:
             if isinstance(b, StrVar):
                 a, b = b, a
             if isinstance(a, StrVar) and isinstance(b, StrConst):
-                self._add(self._class(a).excluded, b.value)
+                self._class(a).excluded.add(b.value)
             elif isinstance(a, StrVar) and isinstance(b, Undef):
                 self._set_defined(self._class(a))
             elif not isinstance(a, StrVar) and not isinstance(b, StrVar):
@@ -369,16 +302,14 @@ class _Core:
         atoms = flatten(term)
         if len(atoms) == 1 and isinstance(atoms[0], StrVar):
             cls = self._class(atoms[0])
-            self._extend(
-                cls.pos_regexes if positive else cls.neg_regexes, [regex]
-            )
+            (cls.pos_regexes if positive else cls.neg_regexes).append(regex)
         elif len(atoms) == 1 and isinstance(atoms[0], StrConst):
             accepted = dfa_for(regex).accepts_word(atoms[0].value)
             if accepted != positive:
                 raise _UnsatCore()
         else:
             check = InRe(term, regex)
-            self._extend(self.checks, [check if positive else Not(check)])
+            self.checks.append(check if positive else Not(check))
 
     # -- consistency + classification -----------------------------------------
 
@@ -596,12 +527,11 @@ class _Core:
         Each refutes the literals it saw, so it holds for any superset
         of them: the search runs them on partial cores.  Otherwise
         returns the (free, defined) classes."""
-        self.refuted_at = INGEST
         try:
-            self.ingest(self.literals)
             if stage == INGEST:
+                self.refuted_at = INGEST
+                self._ingest()
                 return [], []
-            self.refuted_at = PREPARE
             free, defined = self._prepare()
             if stage == PREPARE:
                 return free, defined
@@ -616,10 +546,13 @@ class _Core:
         return free, defined
 
     def _prepare(self) -> Tuple[List[_Class], List[_Class]]:
-        """Classify and propagate the ingested literals; the (free,
-        defined) classes.
+        """Ingest, classify and propagate; the (free, defined) classes.
 
-        Raises :class:`_UnsatCore` on a structural conflict."""
+        Raises :class:`_UnsatCore` on a structural conflict, and
+        ``refuted_at`` says at which stage."""
+        self.refuted_at = INGEST
+        self._ingest()
+        self.refuted_at = PREPARE
         free, defined = self._classify()
         self._propagate_constants()
         self._propagate_quotients()
@@ -1171,21 +1104,6 @@ class _Core:
 #: The product's stand-in for an unconstrained part.
 _SIGMA_STAR = universal_dfa()
 
-#: Undo-log marker: the key was absent before the write.
-_MISSING = object()
-
-
-def _restore_item(table: dict, key, old) -> None:
-    if old is _MISSING:
-        del table[key]
-    else:
-        table[key] = old
-
-
-def _truncate(items: list, length: int) -> None:
-    del items[length:]
-
-
 @lru_cache(maxsize=4096)
 def _literal_dfa(word: str) -> Dfa:
     """The product's automaton for a constant (shared across cores)."""
@@ -1371,19 +1289,7 @@ class Solver:
         from repro.solver.search import Search
 
         search = Search(self, to_nnf(formula), deadline)
-        status, model, reason = UNKNOWN, None, None
-        for limit in self.round_limits:
-            outcome = search.run(limit)
-            if isinstance(outcome, Model):
-                status, model = SAT, outcome
-                break
-            if outcome is not None:
-                status = UNSAT  # the root is refuted
-                break
-            if "deadline" in search.reasons or time.monotonic() > deadline:
-                reason = "deadline"
-                break
-            reason = "budget" if "budget" in search.reasons else "incomplete"
+        status, model, reason = search.decide()
         if self.stats is not None:
             self.stats.record(
                 QueryRecord(
@@ -1392,7 +1298,7 @@ class Solver:
                     cores_tried=search.cores_tried,
                     candidates_tried=self._candidates_tried,
                     nogoods=len(search.learned),
-                    unknown_reason=reason if status == UNKNOWN else None,
+                    unknown_reason=reason,
                 )
             )
-        return SolverResult(status, model, tuple(search.learned))
+        return SolverResult(status, model)

@@ -2,8 +2,8 @@
 
 :class:`Search` walks the And/Or tree of one query, solves each leaf
 with a fresh :class:`~repro.solver.core._Core` and learns nogoods from
-refuted partial cores; :meth:`repro.solver.core.Solver.solve` runs it
-once per deepening round.
+refuted partial cores.  :meth:`repro.solver.core.Solver.solve` calls
+:meth:`Search.decide`, which walks the tree once per deepening round.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.constraints.formulas import And, BoolLit, Formula, Or
 from repro.solver.core import (
-    INGEST,
     PRODUCTS,
     SAT,
     UNKNOWN,
+    UNSAT,
     Solver,
     _Core,
-    _UnsatCore,
 )
 from repro.solver.model import Model
 
@@ -43,16 +42,18 @@ class Search:
     root's group holds the literals no decision guards.
 
     Once a leaf has failed in this query, each decision's partial core
-    is put to :meth:`_Core.definitive`, up to the deepest stage a failed
-    leaf reached.  Its ingest stage runs on one trailed :class:`_Core`
-    that takes in each group once and undoes it on backtrack.  A
-    refutation holds for every extension, so the subtree is skipped,
-    and its literals become a *nogood*, minimised by QuickXplain
-    (Junker, AAAI 2004) over the same check when the DNF is large.  A
-    branch containing a stored nogood is skipped too, and the walk
-    backjumps to the latest decision whose literals a conflict uses
-    (conflict-directed backjumping).  Nogoods are definitive, so they
-    outlive the deepening rounds.
+    is put to :meth:`_Core.definitive` on a fresh :class:`_Core`, up to
+    the deepest stage a failed leaf reached.  A refutation holds for
+    every extension, so the subtree is skipped, and its literals become
+    a *nogood*.  QuickXplain (Junker, AAAI 2004) over the same check
+    minimises it to the decision levels it needs, while the query has
+    spent fewer checks minimising than it met conflicts before: a query
+    that conflicts often earns minimisation, one that finds a model
+    after a few failed leaves pays little for it.  A branch containing
+    a stored nogood is skipped too, and the walk backjumps to the
+    latest decision whose literals a conflict uses (conflict-directed
+    backjumping).  Nogoods are definitive, so they outlive the
+    deepening rounds.
 
     A walk returns a :class:`Model`, a *conflict* (the set of decision
     levels whose literals refute the subtree; level 0 is the root) or
@@ -80,10 +81,6 @@ class Search:
         self._added: List[List[int]] = []
         #: Per level: the group it entered.
         self._entered: List[_Group] = []
-        #: The trailed core holds the first ``len(_synced)`` levels;
-        #: entry i is its undo mark before level i.
-        self._core = _Core((), solver, trail=True)
-        self._synced: List[int] = []
         #: The deepest :meth:`_Core.definitive` stage a failed leaf
         #: reached (0: none yet).  Partial cores are checked up to it: a
         #: query whose first leaf is SAT pays nothing for the checks, and
@@ -92,10 +89,9 @@ class Search:
         self.cores_tried = 0
         #: Why leaves of the current round were UNKNOWN.
         self.reasons: set = set()
+        #: Checks spent minimising nogoods.
+        self.spent = 0
         self.root = self._expand((), nnf)
-        #: Minimising a nogood takes tens of checks: it pays only when
-        #: the DNF has many more cores than that to prune.
-        self.minimise = _dnf_size(nnf) >= MINIMISE_MIN_CORES
 
     # -- the tree --------------------------------------------------------------
 
@@ -132,6 +128,21 @@ class Search:
 
     # -- the walk --------------------------------------------------------------
 
+    def decide(self) -> Tuple[str, Optional[Model], Optional[str]]:
+        """Run one round per ``round_limits`` entry until one decides;
+        (status, model, why UNKNOWN)."""
+        reason = None
+        for limit in self.solver.round_limits:
+            outcome = self.run(limit)
+            if isinstance(outcome, Model):
+                return SAT, outcome, None
+            if outcome is not None:
+                return UNSAT, None, None  # the root is refuted
+            if "deadline" in self.reasons or time.monotonic() > self.deadline:
+                return UNKNOWN, None, "deadline"
+            reason = "budget" if "budget" in self.reasons else "incomplete"
+        return UNKNOWN, None, reason
+
     def run(self, limit: int):
         """One deepening round: a model, a conflict or ``_UNDECIDED``."""
         self.limit = limit
@@ -144,7 +155,7 @@ class Search:
                 return conflict
             return self._walk(0, _pending(self.root, 0), ())
         finally:
-            self._leave(0)
+            self._leave()
 
     def _walk(self, level: int, pending, decisions: Tuple[int, ...]):
         """Decide ``pending`` below the path's node at ``level``."""
@@ -154,7 +165,7 @@ class Search:
         if not pending:
             return self._leaf()
         if self.stage and self._added[level]:
-            conflict = self._check(level, decisions)
+            conflict = self._check(decisions)
             if conflict is not None:
                 return conflict
         (path, node, origin), rest = pending[0], pending[1:]
@@ -175,7 +186,7 @@ class Search:
                         decisions + (index,),
                     )
             finally:
-                self._leave(child)
+                self._leave()
             if isinstance(conflict, Model):
                 return conflict
             if conflict is _UNDECIDED:
@@ -207,13 +218,10 @@ class Search:
                     return conflict
         return None
 
-    def _leave(self, level: int) -> None:
+    def _leave(self) -> None:
         for ident in self._added.pop():
             del self._level[ident]
         self._entered.pop()
-        if len(self._synced) > level:
-            self._core.undo(self._synced[level])
-            del self._synced[level:]
 
     def _levels(self, nogood: FrozenSet[int]) -> Optional[FrozenSet[int]]:
         """The levels of ``nogood``'s literals, if all are on the path."""
@@ -224,27 +232,15 @@ class Search:
 
     # -- conflicts -------------------------------------------------------------
 
-    def _check(self, level: int, decisions) -> Optional[FrozenSet[int]]:
+    def _check(self, decisions) -> Optional[FrozenSet[int]]:
         """Refute the path's partial core up to ``stage``; the conflict,
-        or ``None``.  Ingest runs on the trailed core, one level at a
-        time; later stages need a fresh core, as classification and
-        propagation rewrite classes."""
+        or ``None``.  (:meth:`_walk` has just checked the deadline.)"""
         if self._passed.get(decisions, 0) >= self.stage:
             return None
-        core = self._core
-        while len(self._synced) <= level:
-            depth = len(self._synced)
-            self._synced.append(core.mark())
-            try:
-                core.ingest(self.literals[i] for i in self._added[depth])
-            except _UnsatCore:
-                core.undo(self._synced.pop())
-                return self._learn(INGEST, self._path())
-        if self.stage > INGEST:
-            literals = self._path()
-            fresh = _Core(literals, self.solver)
-            if fresh.definitive(self.stage) is None:
-                return self._learn(fresh.refuted_at, literals)
+        literals = self._path()
+        core = _Core(literals, self.solver)
+        if core.definitive(self.stage) is None:
+            return self._learn(core.refuted_at, literals)
         self._passed[decisions] = self.stage
         return None
 
@@ -254,17 +250,28 @@ class Search:
 
     def _learn(self, stage: int, literals: List[Formula]) -> FrozenSet[int]:
         """Store a nogood for the path, whose ``literals`` (in this order)
-        ``stage`` refuted; its conflict.  Minimisation orders the path
-        level by level, so it prefers conflicts of early decisions,
-        which backjump furthest."""
-        if self.minimise:
+        ``stage`` refuted; its conflict.  Minimisation keeps the root's
+        literals and the fewest decision levels that ``stage`` still
+        refutes, preferring early levels, which backjump furthest."""
+        if self.spent < len(self.nogoods):
 
-            def refutes(subset: List[Formula]) -> bool:
-                return _Core(subset, self.solver).definitive(stage) is None
+            def path(levels: List[int]) -> List[Formula]:
+                return [
+                    self.literals[ident]
+                    for level in [0, *levels]
+                    for ident in self._added[level]
+                ]
 
-            least = _quickxplain(self._path(), refutes)
+            def refutes(levels: List[int]) -> bool:
+                self.spent += 1
+                if time.monotonic() > self.deadline:
+                    return False  # keeps the nogood unminimised
+                core = _Core(path(levels), self.solver)
+                return core.definitive(stage) is None
+
+            least = _quickxplain(list(range(1, len(self._added))), refutes)
             if refutes(least):  # else the check is not monotone here
-                literals = least
+                literals = path(least)
         return self._store(literals)
 
     def _store(self, literals: Sequence[Formula]) -> FrozenSet[int]:
@@ -304,24 +311,6 @@ class Search:
             return _UNDECIDED
         # Refuted by the leaf's own search: the whole leaf is the nogood.
         return self._store(literals)
-
-
-#: The smallest DNF (in cores) whose nogoods are minimised.
-MINIMISE_MIN_CORES = 256
-
-
-def _dnf_size(nnf: Formula) -> int:
-    """The number of DNF cores of ``nnf``."""
-    if isinstance(nnf, And):
-        size = 1
-        for operand in nnf.operands:
-            size *= _dnf_size(operand)
-        return size
-    if isinstance(nnf, Or):
-        return sum(_dnf_size(operand) for operand in nnf.operands)
-    if isinstance(nnf, BoolLit):
-        return int(nnf.value)
-    return 1
 
 
 def _pending(group: _Group, level: int) -> list:

@@ -35,9 +35,7 @@ class QueryRecord:
     #: Leaf cores solved.
     cores_tried: int = 0
     candidates_tried: int = 0
-    #: Nogoods learned in this query (their literals come back on the
-    #: native solver's ``SolverResult``; records keep only the count,
-    #: so they pin no formula).
+    #: Nogoods learned in this query (a count: records pin no formula).
     nogoods: int = 0
     #: Why an UNKNOWN verdict: ``deadline``, ``budget`` (a work cap) or
     #: ``incomplete`` (candidate lists that are no exact enumeration).

@@ -397,7 +397,6 @@ def test_product_refutations_and_witnesses_are_sound():
         core = _Core(literals, Solver())
         label = str(conj(literals))
         try:
-            core.ingest(literals)
             core._prepare()
             found = core._decide_concatenations()
         except _UnsatCore:

@@ -18,18 +18,18 @@ become ``&``/``|``/complement.
 import functools
 import itertools
 import random
+import time
 from typing import Iterator, List
 
 import pytest
 
 from repro.constraints import Eq, InRe, Not, StrConst, StrVar, concat, conj
-from repro.constraints.formulas import And, BoolLit, Formula, Or
+from repro.constraints.formulas import And, BoolLit, Formula, Or, to_nnf
 from repro.constraints.terms import Concat
 from repro.regex import RegExp, parse_regex
 from repro.solver import SAT, Solver, UNKNOWN, UNSAT
-from repro.solver import search as search_module
 from repro.solver.core import _holds
-from repro.solver.stats import SolverStats
+from repro.solver.search import Search
 
 VARS = [StrVar("x"), StrVar("y"), StrVar("z")]
 CONSTS = ["", "a", "b", "ab", "ba", "aab"]
@@ -213,11 +213,11 @@ def reference_verdict(formula: Formula) -> str:
 
 
 def search(formula: Formula):
-    stats = SolverStats()
-    result = Solver(stats=stats, **OPTIONS).solve(formula)
-    record = stats.queries[-1]
-    assert record.nogoods == len(result.nogoods)
-    return result, record
+    """(status, model, the :class:`Search` that decided ``formula``)."""
+    solver = Solver(**OPTIONS)
+    run = Search(solver, to_nnf(formula), time.monotonic() + solver.timeout)
+    status, model, _ = run.decide()
+    return status, model, run
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,43 +225,32 @@ def reference_for(seed: int) -> str:
     return reference_verdict(formula_for(seed))
 
 
-@pytest.fixture(
-    scope="module", params=[None, 1], ids=["default", "minimise-all"]
-)
-def outcomes(request):
-    """Every seed's (seed, formula, result, record), with nogoods
-    minimised as shipped (only for large DNFs) or always."""
-    saved = search_module.MINIMISE_MIN_CORES
-    if request.param is not None:
-        search_module.MINIMISE_MIN_CORES = request.param
-    try:
-        rows = []
-        for seed in SEEDS:
-            formula = formula_for(seed)
-            result, record = search(formula)
-            rows.append((seed, formula, result, record))
-        return rows
-    finally:
-        search_module.MINIMISE_MIN_CORES = saved
+@pytest.fixture(scope="module")
+def outcomes():
+    """Every seed's (seed, formula, status, model, search)."""
+    return [
+        (seed, formula, *search(formula))
+        for seed, formula in ((seed, formula_for(seed)) for seed in SEEDS)
+    ]
 
 
 def test_verdicts_match_the_dnf_reference(outcomes):
     compared = 0
-    for seed, formula, result, _ in outcomes:
+    for seed, formula, status, _, _ in outcomes:
         expected = reference_for(seed)
         if expected == UNKNOWN:
             continue
         compared += 1
-        assert result.status == expected, f"seed {seed}: {formula}"
+        assert status == expected, f"seed {seed}: {formula}"
     assert compared > len(SEEDS) * 3 // 4
 
 
 def test_every_unsat_has_no_small_model(outcomes):
     unsat = 0
-    for seed, formula, result, _ in outcomes:
-        if result.status == SAT:
-            assert _holds(formula, result.model), f"seed {seed}"
-        elif result.status == UNSAT:
+    for seed, formula, status, model, _ in outcomes:
+        if status == SAT:
+            assert _holds(formula, model), f"seed {seed}"
+        elif status == UNSAT:
             unsat += 1
             assert bounded_mask(formula) == 0, f"seed {seed}: {formula}"
     assert unsat >= 20
@@ -269,8 +258,8 @@ def test_every_unsat_has_no_small_model(outcomes):
 
 def test_every_nogood_is_unsat_alone(outcomes):
     learned = 0
-    for seed, _, result, _ in outcomes:
-        for nogood in result.nogoods:
+    for seed, _, _, _, run in outcomes:
+        for nogood in run.learned:
             learned += 1
             alone = conj(list(nogood))
             assert Solver(**OPTIONS).solve(alone).status == UNSAT, (
@@ -281,12 +270,15 @@ def test_every_nogood_is_unsat_alone(outcomes):
 
 
 def test_nogoods_prune_cores(outcomes):
-    """The search solves fewer leaf cores than the DNF has."""
+    """The search solves fewer leaf cores than the DNF has, and both
+    minimised and unminimised nogoods occur."""
     pruned = sum(
-        record.cores_tried < sum(1 for _ in dnf_cores(formula))
-        for _, formula, _, record in outcomes
+        run.cores_tried < sum(1 for _ in dnf_cores(formula))
+        for _, formula, _, _, run in outcomes
     )
     assert pruned >= 10
+    minimised = sum(run.spent > 0 for *_, run in outcomes)
+    assert 10 <= minimised < len(SEEDS)
 
 
 def test_the_bounded_check_sees_models():

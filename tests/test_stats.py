@@ -1,5 +1,7 @@
 """Unit tests for the solver statistics collector (Table 8 plumbing)."""
 
+import time
+
 from repro.solver.stats import QueryRecord, SolverStats
 
 
@@ -71,7 +73,6 @@ class TestSearchRecords:
 
         stats = SolverStats()
         result = Solver(stats=stats, **options).solve(formula)
-        self.result = result
         return result.status, stats.queries[-1]
 
     def test_defaults_are_empty(self):
@@ -80,8 +81,10 @@ class TestSearchRecords:
 
     def test_refuted_branches_leave_nogoods(self):
         from repro.constraints import Eq, InRe, StrConst, StrVar, concat
-        from repro.constraints.formulas import And, Or
+        from repro.constraints.formulas import And, Or, to_nnf
         from repro.regex import parse_regex
+        from repro.solver import Solver
+        from repro.solver.search import Search
 
         x, p, q = StrVar("x"), StrVar("p"), StrVar("q")
         pinned = Eq(x, StrConst("x"))
@@ -96,14 +99,23 @@ class TestSearchRecords:
                 (p, ("y", "z", "[yz]", "[^x]")),
             )
         ]
-        status, query = self.solve(And((split, *choices, pinned)))
+        formula = And((split, *choices, pinned))
+        status, query = self.solve(formula)
         assert status == "unsat"
         assert query.unknown_reason is None
-        assert query.cores_tried == 1  # the rest fell to nogoods
-        assert query.nogoods == len(self.result.nogoods) == 4
-        for nogood in self.result.nogoods:
-            assert set(nogood) & {pinned, split}
-            assert len(nogood) <= 3
+        # The first failed leaf's nogood stays whole (no conflict came
+        # before it to pay for minimising); the second leaf's is
+        # minimised, and it and its kind refute the other 254 cores.
+        assert query.cores_tried == 2
+        assert query.nogoods == 5
+        # The nogoods themselves, from a search run on its own.
+        search = Search(Solver(), to_nnf(formula), time.monotonic() + 20)
+        assert search.decide()[0] == "unsat"
+        first, *rest = search.learned
+        assert len(first) == 6 and len(rest) == 4
+        for nogood in rest:
+            assert {pinned, split} <= set(nogood)
+            assert len(nogood) == 3
 
     def test_unknown_reasons(self):
         from repro.constraints import Eq, InRe, StrVar, concat, conj
