@@ -8,10 +8,15 @@ Commands:
 - ``analyze FILE`` — dynamic symbolic execution of a mini-JS program;
 - ``batch FILE... | batch --survey -n N`` — run many analyses across a
   worker pool with a shared solver query cache (the service layer);
+- ``fuzz [-n N] [--oracle-backend SPEC]...`` — conformance-fuzz the
+  concrete matcher against solver backends through the same worker
+  pool (differential oracle, delta-debug shrinking, deduped artifacts);
 - ``serve --socket PATH | --port N`` — keep that worker pool warm in a
   long-lived daemon; concurrent clients submit jobs over
   newline-delimited JSON and results stream back as they land, with
   duplicate work coalesced across clients (see :mod:`repro.serve`);
+- ``worker --join ADDR`` — one cluster worker node: it joins a ``serve
+  --cluster`` coordinator and executes leased jobs on its own pool;
 - ``submit [--socket PATH | --port N] FILE...`` — client for ``serve``:
   job-spec ``.json`` files or mini-JS programs in, a batch report (or
   ``--stream``\\ ed JSON result lines) out; ``--stats`` prints the
@@ -27,7 +32,8 @@ DIR`` to persist definitive solver answers the same way (implies a
 additionally coalesces jobs posing identical canonical queries into
 single-flight executions.
 
-``solve``/``analyze``/``batch`` also accept the observability flags
+``solve``/``analyze``/``batch``/``fuzz``/``serve`` also accept the
+observability flags
 ``--trace FILE`` / ``--trace-format {jsonl,chrome}`` (span traces,
 merged deterministically across worker processes; the chrome format
 opens in Perfetto), ``--metrics-json FILE`` (labeled counter /
@@ -35,12 +41,16 @@ gauge / histogram snapshot), and ``--slow-query-ms MS`` (log solver
 queries over the threshold with fingerprint, route, backend, and
 refinement depth) — see :mod:`repro.obs`.
 
-``batch``/``serve`` accept the fault-tolerance flags ``--retry-max N``
-/ ``--retry-backoff-s S`` (re-dispatch jobs whose worker crashed or
-timed out, with exponential backoff and deterministic jitter),
-``--quarantine-after N`` (poison-job fuse), and ``--fault-plan FILE``
-(chaos-testing fault injection; see :mod:`repro.faults`); ``submit
---health`` prints the daemon's liveness/readiness report.
+``batch``/``fuzz``/``serve``/``worker`` accept the fault-tolerance
+flags ``--retry-max N`` / ``--retry-backoff-s S`` (re-dispatch jobs
+whose worker crashed or timed out, with exponential backoff and
+deterministic jitter), ``--quarantine-after N`` (poison-job fuse), and
+``--fault-plan FILE`` (chaos-testing fault injection; see
+:mod:`repro.faults`); ``submit --health`` prints the daemon's
+liveness/readiness report.
+
+A bad flag value, an unreadable input file or an invalid fault plan is
+a usage error: one line on stderr and exit status 2.
 
 - ``survey [-n N]`` — regenerate the §7.1 survey tables;
 - ``smtlib PATTERN [-f FLAGS]`` — print the membership model as SMT-LIB;
@@ -50,33 +60,108 @@ timed out, with exponential backoff and deterministic jitter),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 
-def _check_backend_spec(spec) -> int:
-    """Validate a ``--backend`` spec up front; 0 ok, 2 on a bad spec."""
-    if spec is None:
-        return 0
-    from repro.solver.backends import BackendError, make_backend
+class UsageError(Exception):
+    """A bad flag or input path: :func:`main` prints it, exits 2."""
+
+
+def _check_flags(args) -> None:
+    """Reject bad flags before any work starts (:class:`UsageError`).
+
+    Covers every subcommand that declares the flags: backend specs
+    that do not resolve, a store cap without its store, and a daemon
+    command without an address.
+    """
+    flags = vars(args)
+    specs = [flags.get("backend"), *(flags.get("oracle_backend") or ())]
+    specs = [spec for spec in specs if spec is not None]
+    if specs:
+        from repro.solver.backends import BackendError, make_backend
+
+        if "oracle_backend" in flags:
+            # fuzz may name the deliberately-unsound test backend.
+            from repro.conformance import register_planted_backend
+
+            register_planted_backend()
+    for spec in specs:
+        try:
+            make_backend(spec)
+        except BackendError as exc:
+            raise UsageError(f"error: {exc}") from None
+    for cap, store in (
+        ("query_cache_max", "query_cache"),
+        ("artifacts_max", "artifacts"),
+    ):
+        if flags.get(cap) is not None and flags.get(store) is None:
+            raise UsageError(
+                f"error: --{cap.replace('_', '-')} requires "
+                f"--{store.replace('_', '-')} "
+                "(there is no store to cap without one)"
+            )
+    if "socket" in flags and not args.socket and not args.port:
+        raise UsageError(
+            f"{args.command}: provide --socket PATH or --port N"
+        )
+
+
+def _cannot_read(prefix: str, exc: OSError) -> UsageError:
+    return UsageError(f"{prefix}: cannot read {exc.filename}: {exc.strerror}")
+
+
+def _read_source(prefix: str, path: str) -> str:
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise _cannot_read(prefix, exc) from None
+
+
+def _load_fault_plan(path):
+    """The ``--fault-plan`` spec, or ``None``.
+
+    Validated once here, so a bad plan is a usage error rather than a
+    traceback in the parent and in every worker that installs it.
+    """
+    if not path:
+        return None
+    import json
+
+    from repro.faults import FaultPlan
 
     try:
-        make_backend(spec)
-    except BackendError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        spec = json.loads(_read_source("error: --fault-plan", path))
+        FaultPlan.from_spec(spec)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"error: --fault-plan {path}: {exc}") from None
+    return spec
 
 
-def _check_query_cache_flags(args) -> int:
-    """A cap without a store would silently bound nothing; 0 ok, 2 bad."""
-    if args.query_cache_max is not None and args.query_cache is None:
-        print(
-            "error: --query-cache-max requires --query-cache "
-            "(there is no store to cap without one)",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+def _runner(args, **overrides):
+    """The :class:`~repro.service.BatchRunner` of a pool command.
+
+    ``batch``, ``fuzz``, ``serve`` and ``worker`` name each pool flag
+    after the :class:`~repro.service.RunnerConfig` field it sets, so
+    every field the command declares a flag for is read from ``args``;
+    ``overrides`` are the fields the command derives itself.  (The
+    daemons' observability flags land too, but only
+    :meth:`~repro.service.BatchRunner.run` reads them; a daemon is
+    observed through the ``ObsRun`` it is started with.)
+    """
+    from dataclasses import fields
+
+    from repro.service import BatchRunner, RunnerConfig
+
+    flags = vars(args)
+    config = {f.name: flags[f.name] for f in fields(RunnerConfig)
+              if f.name in flags}
+    if "no_cache" in flags:
+        config["use_cache"] = not args.no_cache
+    config["fault_plan"] = _load_fault_plan(args.fault_plan)
+    config.update(overrides)
+    return BatchRunner(RunnerConfig(**config))
 
 
 def _resolve_backend(spec, query_cache, timeout=None, query_cache_max=None):
@@ -106,33 +191,34 @@ def _resolve_backend(spec, query_cache, timeout=None, query_cache_max=None):
     )
 
 
-def _start_obs(args):
-    """Configure tracing/metrics for a one-shot command, or ``None``.
+@contextlib.contextmanager
+def _observed(args):
+    """Trace and meter the command body; yields its ``ObsRun`` or ``None``.
 
-    Returns the :class:`~repro.obs.export.ObsRun` whose ``finish()``
-    writes the requested artifacts; with none of the flags set nothing
-    is imported or configured (the strictly-disabled fast path).
+    With none of the observability flags set nothing is imported or
+    configured (the strictly-disabled fast path).  A clean exit writes
+    and announces the artifacts; an exception aborts the run.
     """
     if (
-        getattr(args, "trace", None) is None
-        and getattr(args, "metrics_json", None) is None
-        and getattr(args, "slow_query_ms", None) is None
+        args.trace is None
+        and args.metrics_json is None
+        and args.slow_query_ms is None
     ):
-        return None
+        yield None
+        return
     from repro.obs.export import ObsRun
 
-    return ObsRun.start(
+    obs_run = ObsRun.start(
         trace=args.trace,
         trace_format=args.trace_format,
         metrics_json=args.metrics_json,
         slow_query_ms=args.slow_query_ms,
     )
-
-
-def _finish_obs(obs_run) -> None:
-    """Write and announce the observability artifacts of a one-shot run."""
-    if obs_run is None:
-        return
+    try:
+        yield obs_run
+    except BaseException:
+        obs_run.abort()
+        raise
     summary = obs_run.finish()
     if summary.trace_path:
         print(f"trace:   {summary.trace_path} ({summary.span_count} spans)")
@@ -149,10 +235,6 @@ def _finish_obs(obs_run) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.model import find_matching_input, find_non_matching_input
 
-    if _check_backend_spec(args.backend):
-        return 2
-    if _check_query_cache_flags(args):
-        return 2
     if args.automata_cache:
         from repro.automata import configure_automata_cache
 
@@ -162,31 +244,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     backend = _resolve_backend(
         args.backend, args.query_cache, query_cache_max=args.query_cache_max
     )
-    obs_run = _start_obs(args)
-    try:
+    with _observed(args):
         if args.negate:
             word = find_non_matching_input(
                 args.pattern, args.flags, backend=backend
             )
-            status = 1 if word is None else 0
-            result = None
         else:
             result = find_matching_input(
                 args.pattern, args.flags, backend=backend
             )
-            word = result[0] if result is not None else None
-            status = 1 if result is None else 0
-    except BaseException:
-        if obs_run is not None:
-            obs_run.abort()
-        raise
-    _finish_obs(obs_run)
     if args.negate:
         if word is None:
             print("no non-matching input found (pattern may match Σ*)")
             return 1
         print(f"input:  {word!r}")
-        return status
+        return 0
     if result is None:
         print("unsatisfiable (or solver budget exhausted)")
         return 1
@@ -196,7 +268,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         value = captures[index]
         shown = "undefined" if value is None else repr(value)
         print(f"  C{index} = {shown}")
-    return status
+    return 0
 
 
 def _cmd_exec(args: argparse.Namespace) -> int:
@@ -217,15 +289,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.dse import RegexSupportLevel, analyze
     from repro.dse.engine import EngineConfig
 
-    if _check_backend_spec(args.backend):
-        return 2
-    if _check_query_cache_flags(args):
-        return 2
-    with open(args.file) as handle:
-        source = handle.read()
+    source = _read_source("analyze", args.file)
     level = RegexSupportLevel[args.level.upper()]
-    obs_run = _start_obs(args)
-    try:
+    with _observed(args):
         result = analyze(
             source,
             level=level,
@@ -240,11 +306,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             ),
             automata_cache=args.automata_cache,
         )
-    except BaseException:
-        if obs_run is not None:
-            obs_run.abort()
-        raise
-    _finish_obs(obs_run)
     print(f"tests run:   {result.tests_run}")
     print(f"coverage:    {result.coverage:.1%} "
           f"({len(result.covered)}/{result.statement_count} statements)")
@@ -258,20 +319,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    import json
-
     from repro.service import (
-        BatchRunner,
-        RunnerConfig,
         analyze_jobs_from_files,
-        format_batch_report,
+        print_batch_report,
         survey_workload,
     )
 
-    if _check_backend_spec(args.backend):
-        return 2
-    if _check_query_cache_flags(args):
-        return 2
     if args.survey:
         jobs = survey_workload(
             n_packages=args.packages,
@@ -290,75 +343,17 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 backend=args.backend,
             )
         except OSError as exc:
-            print(f"batch: cannot read {exc.filename}: {exc.strerror}",
-                  file=sys.stderr)
-            return 2
+            raise _cannot_read("batch", exc) from None
     else:
-        print("batch: provide mini-JS FILEs or --survey", file=sys.stderr)
-        return 2
-    fault_plan = None
-    if args.fault_plan:
-        with open(args.fault_plan) as handle:
-            fault_plan = json.load(handle)
-    runner = BatchRunner(
-        RunnerConfig(
-            workers=args.workers,
-            job_timeout=args.job_timeout,
-            use_cache=not args.no_cache,
-            cache_size=args.cache_size,
-            shared_cache=args.shared_cache,
-            automata_cache=args.automata_cache,
-            query_cache=args.query_cache,
-            query_cache_max=args.query_cache_max,
-            dedup=args.dedup,
-            trace=args.trace,
-            trace_format=args.trace_format,
-            metrics_json=args.metrics_json,
-            slow_query_ms=args.slow_query_ms,
-            retry_max=args.retry_max,
-            retry_backoff_s=args.retry_backoff_s,
-            quarantine_after=args.quarantine_after,
-            fault_plan=fault_plan,
-        )
-    )
-    report = runner.run(jobs)
-    print(format_batch_report(report))
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.to_spec(), handle, indent=2)
-        print(f"\nwrote {args.json}")
+        raise UsageError("batch: provide mini-JS FILEs or --survey")
+    report = _runner(args).run(jobs)
+    print_batch_report(report, args.json)
     return 0 if all(r.status == "ok" for r in report.results) else 1
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    import json
+    from repro.service import fuzz_workload, merge_fuzz, print_batch_report
 
-    from repro.conformance import register_planted_backend
-    from repro.service import (
-        BatchRunner,
-        RunnerConfig,
-        format_batch_report,
-        fuzz_workload,
-        merge_fuzz,
-    )
-
-    # The deliberately-unsound test backend must be resolvable before
-    # --oracle-backend specs are validated.
-    register_planted_backend()
-    if _check_backend_spec(args.backend):
-        return 2
-    for spec in args.oracle_backend or []:
-        if _check_backend_spec(spec):
-            return 2
-    if _check_query_cache_flags(args):
-        return 2
-    if args.artifacts_max is not None and args.artifacts is None:
-        print(
-            "error: --artifacts-max requires --artifacts "
-            "(there is no store to cap without one)",
-            file=sys.stderr,
-        )
-        return 2
     shards = args.shards
     if shards is None:
         shards = max(1, args.workers) * 2 if args.workers else 1
@@ -374,33 +369,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         artifact_max=args.artifacts_max,
         on_disagreement=args.on_disagreement,
     )
-    fault_plan = None
-    if args.fault_plan:
-        with open(args.fault_plan) as handle:
-            fault_plan = json.load(handle)
-    runner = BatchRunner(
-        RunnerConfig(
-            workers=args.workers,
-            job_timeout=args.job_timeout,
-            automata_cache=args.automata_cache,
-            query_cache=args.query_cache,
-            query_cache_max=args.query_cache_max,
-            trace=args.trace,
-            trace_format=args.trace_format,
-            metrics_json=args.metrics_json,
-            slow_query_ms=args.slow_query_ms,
-            retry_max=args.retry_max,
-            retry_backoff_s=args.retry_backoff_s,
-            quarantine_after=args.quarantine_after,
-            fault_plan=fault_plan,
-        )
-    )
-    report = runner.run(jobs)
-    print(format_batch_report(report))
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.to_spec(), handle, indent=2)
-        print(f"\nwrote {args.json}")
+    report = _runner(args).run(jobs)
+    print_batch_report(report, args.json)
     if not all(r.status == "ok" for r in report.results):
         return 1
     merged = merge_fuzz(report.of_kind("fuzz"))
@@ -412,22 +382,43 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.cli import run_serve
 
-    if _check_query_cache_flags(args):
-        return 2
-    return run_serve(args)
+    retry_max = args.retry_max
+    if args.cluster and retry_max == 0:
+        # A fleet without retries would turn every revoked lease (node
+        # death, partition) into a client-visible crash; floor it so
+        # re-dispatch works out of the box.  ``--retry-max`` still wins
+        # when set explicitly.
+        retry_max = 2
+    runner = _runner(
+        args,
+        # An inline daemon overlaps jobs on executor threads; size the
+        # executor to the requested in-flight bound.
+        inline_concurrency=(
+            args.max_inflight if args.workers == 0 and args.max_inflight
+            else 1
+        ),
+        retry_max=retry_max,
+    )
+    with _observed(args) as obs_run:
+        run_serve(args, runner, obs_run)
+    print("drained, exiting")
+    return 0
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.serve.cli import run_worker
 
-    return run_worker(args)
+    runner = _runner(
+        args,
+        inline_concurrency=args.capacity if args.workers == 0 else 1,
+        retry_max=0,  # the coordinator owns retries fleet-wide
+    )
+    return run_worker(args, runner)
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.serve.cli import run_submit
 
-    if _check_backend_spec(args.backend):
-        return 2
     return run_submit(args)
 
 
@@ -482,24 +473,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    backend_help = (
-        "solver backend spec: native, native?timeout=2, smtlib:z3, "
-        "session:z3, portfolio:native+smtlib, portfolio:auto, route:z3, "
-        "cached:native, ... (nestable)"
-    )
-    automata_cache_help = (
-        "directory of the persistent automata compilation cache "
-        "(compiled DFAs are reused across processes and invocations)"
-    )
-    query_cache_help = (
-        "directory of the persistent solver query cache (definitive "
-        "answers are replayed across processes and invocations; implies "
-        "a cached: level when the spec lacks one)"
-    )
-    query_cache_max_help = (
-        "cap the persistent query cache at N entries (age-based GC "
-        "evicts the oldest entries past the cap)"
-    )
+    # Each option shared by several subcommands is declared once, in one
+    # of the adders below; a default that differs between subcommands is
+    # a parameter of its adder.  (Argparse parent parsers would list the
+    # shared options ahead of a subcommand's own and reorder --help.)
+
+    def _add_backend_flag(command) -> None:
+        command.add_argument(
+            "--backend", default=None,
+            help="solver backend spec: native, native?timeout=2, smtlib:z3, "
+            "session:z3, portfolio:native+smtlib, portfolio:auto, route:z3, "
+            "cached:native, ... (nestable)",
+        )
+
+    def _add_analysis_flags(
+        command, max_tests: int, time_budget: float, level_help=None
+    ) -> None:
+        command.add_argument(
+            "--level",
+            default="refined",
+            choices=["concrete", "model", "captures", "refined"],
+            help=level_help,
+        )
+        command.add_argument("--max-tests", type=int, default=max_tests)
+        command.add_argument(
+            "--time-budget", type=float, default=time_budget
+        )
+        _add_backend_flag(command)
+
+    def _add_cache_flags(command, cap: bool = True) -> None:
+        command.add_argument(
+            "--automata-cache", default=None,
+            help="directory of the persistent automata compilation cache "
+            "(compiled DFAs are reused across processes and invocations)",
+        )
+        command.add_argument(
+            "--query-cache", default=None,
+            help="directory of the persistent solver query cache (definitive "
+            "answers are replayed across processes and invocations; implies "
+            "a cached: level when the spec lacks one)",
+        )
+        if cap:
+            command.add_argument(
+                "--query-cache-max", type=int, default=None,
+                help="cap the persistent query cache at N entries (age-based "
+                "GC evicts the oldest entries past the cap)",
+            )
+
+    def _add_pool_cache_flags(command) -> None:
+        command.add_argument(
+            "--no-cache", action="store_true",
+            help="disable the solver query cache",
+        )
+        command.add_argument("--cache-size", type=int, default=4096)
+        command.add_argument(
+            "--shared-cache", action="store_true",
+            help="share one cache across all workers (manager-backed)",
+        )
+
+    def _add_json_flag(command) -> None:
+        command.add_argument("--json", help="also write the report as JSON")
 
     def _add_fault_flags(command) -> None:
         command.add_argument(
@@ -548,17 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("pattern")
     solve.add_argument("-f", "--flags", default="")
     solve.add_argument("--negate", action="store_true")
-    solve.add_argument("--backend", default=None, help=backend_help)
-    solve.add_argument(
-        "--automata-cache", default=None, help=automata_cache_help
-    )
-    solve.add_argument(
-        "--query-cache", default=None, help=query_cache_help
-    )
-    solve.add_argument(
-        "--query-cache-max", type=int, default=None,
-        help=query_cache_max_help,
-    )
+    _add_backend_flag(solve)
+    _add_cache_flags(solve)
     _add_obs_flags(solve)
     solve.set_defaults(fn=_cmd_solve)
 
@@ -570,24 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="DSE of a mini-JS file")
     analyze.add_argument("file")
-    analyze.add_argument(
-        "--level",
-        default="refined",
-        choices=["concrete", "model", "captures", "refined"],
-    )
-    analyze.add_argument("--max-tests", type=int, default=50)
-    analyze.add_argument("--time-budget", type=float, default=30.0)
-    analyze.add_argument("--backend", default=None, help=backend_help)
-    analyze.add_argument(
-        "--automata-cache", default=None, help=automata_cache_help
-    )
-    analyze.add_argument(
-        "--query-cache", default=None, help=query_cache_help
-    )
-    analyze.add_argument(
-        "--query-cache-max", type=int, default=None,
-        help=query_cache_max_help,
-    )
+    _add_analysis_flags(analyze, max_tests=50, time_budget=30.0)
+    _add_cache_flags(analyze)
     _add_obs_flags(analyze)
     analyze.set_defaults(fn=_cmd_analyze)
 
@@ -616,42 +624,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (0 = run inline)",
     )
     batch.add_argument("--job-timeout", type=float, default=300.0)
-    batch.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the solver query cache",
-    )
-    batch.add_argument("--cache-size", type=int, default=4096)
-    batch.add_argument(
-        "--shared-cache",
-        action="store_true",
-        help="share one cache across all workers (manager-backed)",
-    )
-    batch.add_argument(
-        "--level",
-        default="refined",
-        choices=["concrete", "model", "captures", "refined"],
-    )
-    batch.add_argument("--max-tests", type=int, default=40)
-    batch.add_argument("--time-budget", type=float, default=10.0)
-    batch.add_argument("--backend", default=None, help=backend_help)
-    batch.add_argument(
-        "--automata-cache", default=None, help=automata_cache_help
-    )
-    batch.add_argument(
-        "--query-cache", default=None, help=query_cache_help
-    )
-    batch.add_argument(
-        "--query-cache-max", type=int, default=None,
-        help=query_cache_max_help,
-    )
+    _add_pool_cache_flags(batch)
+    _add_analysis_flags(batch, max_tests=40, time_budget=10.0)
+    _add_cache_flags(batch)
     batch.add_argument(
         "--dedup",
         action="store_true",
         help="coalesce jobs posing identical canonical queries into "
         "single-flight executions before dispatch",
     )
-    batch.add_argument("--json", help="also write the report as JSON")
+    _add_json_flag(batch)
     _add_fault_flags(batch)
     _add_obs_flags(batch)
     batch.set_defaults(fn=_cmd_batch)
@@ -665,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="regex/input pairs to generate (the campaign budget)",
     )
     fuzz.add_argument("--seed", type=int, default=1909)
-    fuzz.add_argument("--backend", default=None, help=backend_help)
+    _add_backend_flag(fuzz)
     fuzz.add_argument(
         "--oracle-backend", action="append", default=None,
         metavar="SPEC",
@@ -710,17 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 2 per worker, 1 inline)",
     )
     fuzz.add_argument("--job-timeout", type=float, default=600.0)
-    fuzz.add_argument(
-        "--automata-cache", default=None, help=automata_cache_help
-    )
-    fuzz.add_argument(
-        "--query-cache", default=None, help=query_cache_help
-    )
-    fuzz.add_argument(
-        "--query-cache-max", type=int, default=None,
-        help=query_cache_max_help,
-    )
-    fuzz.add_argument("--json", help="also write the report as JSON")
+    _add_cache_flags(fuzz)
+    _add_json_flag(fuzz)
     _add_fault_flags(fuzz)
     _add_obs_flags(fuzz)
     fuzz.set_defaults(fn=_cmd_fuzz)
@@ -745,25 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (0 = run jobs inline)",
     )
     serve.add_argument("--job-timeout", type=float, default=300.0)
-    serve.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the solver query cache",
-    )
-    serve.add_argument("--cache-size", type=int, default=4096)
-    serve.add_argument(
-        "--shared-cache", action="store_true",
-        help="share one cache across all workers (manager-backed)",
-    )
-    serve.add_argument(
-        "--automata-cache", default=None, help=automata_cache_help
-    )
-    serve.add_argument(
-        "--query-cache", default=None, help=query_cache_help
-    )
-    serve.add_argument(
-        "--query-cache-max", type=int, default=None,
-        help=query_cache_max_help,
-    )
+    _add_pool_cache_flags(serve)
+    _add_cache_flags(serve)
     serve.add_argument(
         "--session-idle-s", type=float, default=None, metavar="S",
         help="close pooled solver sessions idle for S seconds "
@@ -824,12 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stable node name (default: coordinator-assigned)",
     )
     worker.add_argument("--job-timeout", type=float, default=300.0)
-    worker.add_argument(
-        "--automata-cache", default=None, help=automata_cache_help
-    )
-    worker.add_argument(
-        "--query-cache", default=None, help=query_cache_help
-    )
+    _add_cache_flags(worker, cap=False)
     worker.add_argument(
         "--no-remote-cache", action="store_true",
         help="do not read caches through the coordinator's stores",
@@ -873,21 +824,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the daemon's health report (liveness, readiness, "
         "pool/breaker state); exit 0 iff ready",
     )
-    submit.add_argument(
-        "--level", default="refined",
-        choices=["concrete", "model", "captures", "refined"],
-        help="analysis level for mini-JS FILEs",
+    _add_analysis_flags(
+        submit, max_tests=40, time_budget=10.0,
+        level_help="analysis level for mini-JS FILEs",
     )
-    submit.add_argument("--max-tests", type=int, default=40)
-    submit.add_argument("--time-budget", type=float, default=10.0)
-    submit.add_argument("--backend", default=None, help=backend_help)
     submit.add_argument(
         "--wait-on-overload", type=float, default=0.0, metavar="S",
         help="on an 'overloaded' rejection, back off per the daemon's "
         "retry_after hint and retry for up to S seconds before "
         "counting the job as rejected (default 0 = fail fast)",
     )
-    submit.add_argument("--json", help="also write the report as JSON")
+    _add_json_flag(submit)
     submit.set_defaults(fn=_cmd_submit)
 
     survey = sub.add_parser("survey", help="regenerate Tables 4/5")
@@ -911,7 +858,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        _check_flags(args)
+        return args.fn(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

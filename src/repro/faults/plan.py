@@ -60,7 +60,7 @@ import os
 import signal
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional
 
 from repro.obs import metrics as _metrics
@@ -127,6 +127,11 @@ class FaultRule:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "FaultRule":
+        if not isinstance(spec, dict):
+            raise ValueError(f"a fault rule is an object, not {spec!r}")
+        unknown = sorted(set(spec) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown fault rule keys {unknown}")
         return cls(**spec)
 
 
@@ -153,6 +158,8 @@ class FaultPlan:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "FaultPlan":
+        if not isinstance(spec, dict):
+            raise ValueError(f"a fault plan is an object, not {spec!r}")
         rules = [FaultRule.from_spec(r) for r in spec.get("rules", [])]
         return cls(rules, seed=spec.get("seed", 0))
 

@@ -1,7 +1,9 @@
 """Implementations of ``python -m repro serve``, ``worker``, ``submit``.
 
 Kept out of :mod:`repro.__main__` so the parser stays import-light;
-the command functions receive the parsed ``argparse`` namespace.
+the command functions receive the parsed ``argparse`` namespace, and
+``serve``/``worker`` also the runner :mod:`repro.__main__` built from
+its pool flags.
 
 ``serve`` brings up the daemon of :mod:`repro.serve.server` on a unix
 socket (``--socket``) or TCP port (``--port``) and runs until
@@ -58,59 +60,12 @@ def _job_specs_from_args(args) -> List[dict]:
     return specs
 
 
-def run_serve(args) -> int:
+def run_serve(args, runner, obs_run) -> None:
+    """Serve ``runner`` until SIGTERM/SIGINT, then drain and return."""
     import asyncio
 
-    from repro.obs.export import ObsRun
     from repro.serve.server import ServeConfig, ServeServer
-    from repro.service.runner import BatchRunner, RunnerConfig
 
-    if not args.socket and not args.port:
-        print("serve: provide --socket PATH or --port N", file=sys.stderr)
-        return 2
-    obs_run = None
-    if args.trace or args.metrics_json or args.slow_query_ms:
-        obs_run = ObsRun.start(
-            trace=args.trace,
-            trace_format=args.trace_format,
-            metrics_json=args.metrics_json,
-            slow_query_ms=args.slow_query_ms,
-        )
-    inline_concurrency = 1
-    if args.workers == 0 and args.max_inflight:
-        # An inline daemon overlaps jobs on executor threads; size the
-        # executor to the requested in-flight bound.
-        inline_concurrency = args.max_inflight
-    fault_plan = None
-    if getattr(args, "fault_plan", None):
-        with open(args.fault_plan) as handle:
-            fault_plan = json.load(handle)
-    cluster = bool(getattr(args, "cluster", False))
-    retry_max = getattr(args, "retry_max", 0)
-    if cluster and retry_max == 0:
-        # A fleet without retries would turn every revoked lease (node
-        # death, partition) into a client-visible crash; floor it so
-        # re-dispatch works out of the box.  ``--retry-max`` still wins
-        # when set explicitly.
-        retry_max = 2
-    runner = BatchRunner(
-        RunnerConfig(
-            workers=args.workers,
-            inline_concurrency=inline_concurrency,
-            job_timeout=args.job_timeout,
-            use_cache=not args.no_cache,
-            cache_size=args.cache_size,
-            shared_cache=args.shared_cache,
-            automata_cache=args.automata_cache,
-            query_cache=args.query_cache,
-            query_cache_max=args.query_cache_max,
-            session_idle_s=args.session_idle_s,
-            retry_max=retry_max,
-            retry_backoff_s=getattr(args, "retry_backoff_s", 0.25),
-            quarantine_after=getattr(args, "quarantine_after", None),
-            fault_plan=fault_plan,
-        )
-    )
     server = ServeServer(
         runner,
         ServeConfig(
@@ -120,9 +75,9 @@ def run_serve(args) -> int:
             max_queue=args.max_queue,
             max_inflight=args.max_inflight,
             single_flight=not args.no_single_flight,
-            cluster=cluster,
-            heartbeat_s=getattr(args, "heartbeat_s", 2.0),
-            heartbeat_miss=getattr(args, "heartbeat_miss", 3),
+            cluster=args.cluster,
+            heartbeat_s=args.heartbeat_s,
+            heartbeat_miss=args.heartbeat_miss,
         ),
         obs_run=obs_run,
     )
@@ -137,7 +92,7 @@ def run_serve(args) -> int:
                 if server.address[0] == "unix"
                 else f"{server.address[1]}:{server.address[2]}"
             )
-            mode = " cluster" if cluster else ""
+            mode = " cluster" if args.cluster else ""
             print(
                 f"serving{mode} on {where} "
                 f"(workers={args.workers}, max_queue={args.max_queue})",
@@ -145,44 +100,14 @@ def run_serve(args) -> int:
             )
         await task
 
-    try:
-        asyncio.run(main())
-    except BaseException:
-        if obs_run is not None:
-            obs_run.abort()
-        raise
-    if obs_run is not None:
-        summary = obs_run.finish()
-        if summary.metrics_path:
-            print(f"metrics: {summary.metrics_path}")
-    print("drained, exiting")
-    return 0
+    asyncio.run(main())
 
 
-def run_worker(args) -> int:
+def run_worker(args, runner) -> int:
     import signal
 
     from repro.cluster.worker import WorkerConfig, WorkerNode
-    from repro.service.runner import BatchRunner, RunnerConfig
 
-    fault_plan = None
-    if getattr(args, "fault_plan", None):
-        with open(args.fault_plan) as handle:
-            fault_plan = json.load(handle)
-    inline_concurrency = (
-        args.capacity if args.workers == 0 else 1
-    )
-    runner = BatchRunner(
-        RunnerConfig(
-            workers=args.workers,
-            inline_concurrency=inline_concurrency,
-            job_timeout=args.job_timeout,
-            automata_cache=args.automata_cache,
-            query_cache=args.query_cache,
-            retry_max=0,  # the coordinator owns retries fleet-wide
-            fault_plan=fault_plan,
-        )
-    )
     node = WorkerNode(
         runner,
         WorkerConfig(
@@ -214,11 +139,8 @@ def run_worker(args) -> int:
 
 def run_submit(args) -> int:
     from repro.serve.client import Rejected, ServeClient
-    from repro.service.report import BatchReport, format_batch_report
+    from repro.service.report import BatchReport, print_batch_report
 
-    if not args.socket and not args.port:
-        print("submit: provide --socket PATH or --port N", file=sys.stderr)
-        return 2
     with ServeClient(
         socket_path=args.socket,
         host=args.host,
@@ -236,7 +158,7 @@ def run_submit(args) -> int:
                 )
             )
             return 0
-        if getattr(args, "health", False):
+        if args.health:
             health = client.health()
             print(json.dumps(health, indent=2, sort_keys=True))
             return 0 if health.get("ready") else 1
@@ -252,9 +174,8 @@ def run_submit(args) -> int:
         started = time.monotonic()
         order = {}
         rejected = 0
-        wait_budget = float(getattr(args, "wait_on_overload", 0.0) or 0.0)
         for index, spec in enumerate(specs):
-            deadline = time.monotonic() + wait_budget
+            deadline = time.monotonic() + args.wait_on_overload
             while True:
                 try:
                     ack = client.submit(spec)
@@ -291,11 +212,7 @@ def run_submit(args) -> int:
                 jobs_submitted=len(specs),
                 jobs_executed=len(results),
             )
-            print(format_batch_report(report))
-            if args.json:
-                with open(args.json, "w") as handle:
-                    json.dump(report.to_spec(), handle, indent=2)
-                print(f"\nwrote {args.json}")
+            print_batch_report(report, args.json)
     if rejected:
         return 3
     return 0 if all(r.status == "ok" for r in results) else 1

@@ -34,6 +34,7 @@ from repro.service.report import (
     merge_session_tallies,
     merge_solve,
     merge_survey,
+    print_batch_report,
 )
 from repro.service.runner import BatchRunner, RunnerConfig
 from repro.solver.backends.cached import (
@@ -76,5 +77,6 @@ __all__ = [
     "merge_session_tallies",
     "merge_solve",
     "merge_survey",
+    "print_batch_report",
     "survey_workload",
 ]

@@ -16,6 +16,7 @@ bits between two arrival orders.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence
@@ -558,3 +559,12 @@ def format_batch_report(report: BatchReport) -> str:
             )
             lines.append(f"{result.job_id} [{result.status}]: {last}")
     return "\n".join(lines)
+
+
+def print_batch_report(report: BatchReport, json_path: Optional[str]) -> None:
+    """Print the text report; with ``json_path`` also write it as JSON."""
+    print(format_batch_report(report))
+    if json_path:
+        with open(json_path, "w") as handle:
+            json.dump(report.to_spec(), handle, indent=2)
+        print(f"\nwrote {json_path}")

@@ -326,14 +326,8 @@ class _Core:
                     raise _UnsatCore()
                 continue
             if cls.const is not None:
-                for regex in cls.pos_regexes:
-                    if not dfa_for(regex).accepts_word(cls.const):
-                        raise _UnsatCore()
-                for regex in cls.neg_regexes:
-                    if dfa_for(regex).accepts_word(cls.const):
-                        raise _UnsatCore()
-                if cls.const in cls.excluded:
-                    raise _UnsatCore()
+                # _prepare checks the constant against the class's
+                # memberships once propagation has settled them.
                 if cls.definition is not None:
                     # A constant class with a concatenation definition still
                     # constrains the definition's variables — re-check later.
@@ -572,8 +566,8 @@ class _Core:
         ]
         defined = [cls for cls in defined if cls.definition is not None]
         for cls in list(self.classes.values()):
-            if cls.const is not None:
-                self._check_const_class(cls)
+            if cls.const is not None and not self._admits(cls, cls.const):
+                raise _UnsatCore()
         return free, defined
 
     def _decide_concatenations(
@@ -691,15 +685,17 @@ class _Core:
             self._automata[rep] = self._automaton_for(self._class(rep))
         return self._automata[rep]
 
-    def _check_const_class(self, cls: _Class) -> None:
-        for regex in cls.pos_regexes:
-            if not dfa_for(regex).accepts_word(cls.const):
-                raise _UnsatCore()
-        for regex in cls.neg_regexes:
-            if dfa_for(regex).accepts_word(cls.const):
-                raise _UnsatCore()
-        if cls.const in cls.excluded:
-            raise _UnsatCore()
+    @staticmethod
+    def _admits(cls: _Class, value: str) -> bool:
+        """Whether ``value`` satisfies the class's memberships and
+        exclusions."""
+        return (
+            value not in cls.excluded
+            and all(dfa_for(r).accepts_word(value) for r in cls.pos_regexes)
+            and not any(
+                dfa_for(r).accepts_word(value) for r in cls.neg_regexes
+            )
+        )
 
     def _automaton_for(self, cls: _Class):
         """The class's constraint automaton — a *lazy* intersection.
@@ -1032,14 +1028,8 @@ class _Core:
             value = model.eval_term(term)
         except EvalError:
             return False
-        if value in cls.excluded:
+        if not self._admits(cls, value):
             return False
-        for regex in cls.pos_regexes:
-            if not dfa_for(regex).accepts_word(value):
-                return False
-        for regex in cls.neg_regexes:
-            if dfa_for(regex).accepts_word(value):
-                return False
         for member in cls.members:
             model.set(member, value)
         return True

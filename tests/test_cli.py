@@ -2,7 +2,101 @@
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
+
+
+
+_OBS_DEFAULTS = {
+    "trace": None,
+    "trace_format": "jsonl",
+    "metrics_json": None,
+    "slow_query_ms": None,
+}
+_FAULT_DEFAULTS = {
+    "retry_max": 0,
+    "retry_backoff_s": 0.25,
+    "quarantine_after": None,
+    "fault_plan": None,
+}
+_CACHE_DEFAULTS = {
+    "automata_cache": None,
+    "query_cache": None,
+    "query_cache_max": None,
+}
+_POOL_CACHE_DEFAULTS = {
+    "no_cache": False,
+    "cache_size": 4096,
+    "shared_cache": False,
+}
+
+#: Every subcommand's parsed namespace (minus ``fn``) given only its
+#: required arguments.  Subcommands share option groups but not all of
+#: their defaults: --max-tests 50/40, --time-budget 30/10,
+#: --job-timeout 300/600 and -w 2/0 differ between them.
+PARSED_DEFAULTS = {
+    ("solve", "a"): {
+        "command": "solve", "pattern": "a", "flags": "", "negate": False,
+        "backend": None, **_CACHE_DEFAULTS, **_OBS_DEFAULTS,
+    },
+    ("exec", "a", "b"): {
+        "command": "exec", "pattern": "a", "subject": "b", "flags": "",
+    },
+    ("analyze", "f.js"): {
+        "command": "analyze", "file": "f.js", "level": "refined",
+        "max_tests": 50, "time_budget": 30.0, "backend": None,
+        **_CACHE_DEFAULTS, **_OBS_DEFAULTS,
+    },
+    ("batch",): {
+        "command": "batch", "files": [], "survey": False, "packages": 200,
+        "seed": 1909, "solve_cap": 48, "workers": 2, "job_timeout": 300.0,
+        **_POOL_CACHE_DEFAULTS, "level": "refined", "max_tests": 40,
+        "time_budget": 10.0, "backend": None, **_CACHE_DEFAULTS,
+        "dedup": False, "json": None, **_FAULT_DEFAULTS, **_OBS_DEFAULTS,
+    },
+    ("fuzz",): {
+        "command": "fuzz", "pairs": 50, "seed": 1909, "backend": None,
+        "oracle_backend": None, "solver_timeout": 2.0, "artifacts": None,
+        "artifacts_max": None, "on_disagreement": "collect",
+        "no_shrink": False, "fail_on_find": False, "workers": 0,
+        "shards": None, "job_timeout": 600.0, **_CACHE_DEFAULTS,
+        "json": None, **_FAULT_DEFAULTS, **_OBS_DEFAULTS,
+    },
+    ("serve",): {
+        "command": "serve", "socket": None, "host": "127.0.0.1",
+        "port": None, "workers": 2, "job_timeout": 300.0,
+        **_POOL_CACHE_DEFAULTS, **_CACHE_DEFAULTS, "session_idle_s": None,
+        "max_queue": 128, "max_inflight": None, "no_single_flight": False,
+        "cluster": False, "heartbeat_s": 2.0, "heartbeat_miss": 3,
+        **_FAULT_DEFAULTS, **_OBS_DEFAULTS,
+    },
+    ("worker", "--join", "S"): {
+        "command": "worker", "join": "S", "capacity": 1, "workers": 0,
+        "worker_id": None, "job_timeout": 300.0, "automata_cache": None,
+        "query_cache": None, "no_remote_cache": False, **_FAULT_DEFAULTS,
+    },
+    ("submit",): {
+        "command": "submit", "files": [], "socket": None,
+        "host": "127.0.0.1", "port": None, "timeout": 300.0, "wait": False,
+        "stream": False, "stats": False, "health": False, "level": "refined",
+        "max_tests": 40, "time_budget": 10.0, "backend": None,
+        "wait_on_overload": 0.0, "json": None,
+    },
+    ("survey",): {"command": "survey", "packages": 4000, "seed": 1909},
+    ("smtlib", "a"): {
+        "command": "smtlib", "pattern": "a", "flags": "", "negate": False,
+    },
+    ("dot", "a"): {"command": "dot", "pattern": "a", "flags": ""},
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(PARSED_DEFAULTS), ids=lambda argv: argv[0]
+)
+def test_parsed_defaults(argv):
+    parsed = vars(build_parser().parse_args(list(argv)))
+    parsed.pop("fn")
+    assert parsed == PARSED_DEFAULTS[argv]
+
 
 
 class TestSolveCommand:
@@ -89,6 +183,13 @@ class TestAnalyzeCommand:
         program = tmp_path / "ok.js"
         program.write_text("var x = 1 + 2;\n")
         assert main(["analyze", str(program)]) == 0
+
+    def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.js"
+        assert main(["analyze", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("analyze: cannot read ")
+        assert str(missing) in err
 
 
 class TestBatchCommand:
@@ -190,6 +291,51 @@ class TestBatchCommand:
         assert code == 0
         assert "Solver backends" in out
         assert "cached:native" in out
+
+
+class TestFaultPlanFlag:
+    """A bad --fault-plan is one usage error, not a traceback per worker."""
+
+    BAD_PLANS = {
+        "malformed-json": '{"rules": [',
+        "bad-action": '{"rules": [{"site": "worker:job", '
+        '"action": "explode"}]}',
+        "unknown-key": '{"rules": [{"site": "worker:job", '
+        '"action": "kill", "nht": 2}]}',
+    }
+    COMMANDS = {
+        "batch": ["batch", "--survey", "-n", "5", "--workers", "0"],
+        "fuzz": ["fuzz", "-n", "2"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unreadable_plan(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        argv = self.COMMANDS[command] + ["--fault-plan", str(missing)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --fault-plan: cannot read ")
+        assert str(missing) in captured.err
+        assert "jobs:" not in captured.out  # nothing ran
+
+    @pytest.mark.parametrize("plan", sorted(BAD_PLANS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_invalid_plan(self, command, plan, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(self.BAD_PLANS[plan])
+        argv = self.COMMANDS[command] + ["--fault-plan", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --fault-plan {path}: ")
+        assert "jobs:" not in captured.out
+
+    def test_valid_plan_still_runs(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text('{"rules": [{"site": "worker:job", '
+                        '"action": "delay", "delay_s": 0.0}]}')
+        argv = self.COMMANDS["batch"] + ["--fault-plan", str(path)]
+        assert main(argv) == 0
+        assert "jobs:" in capsys.readouterr().out
 
 
 class TestSurveyCommand:
